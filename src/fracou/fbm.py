@@ -1,7 +1,9 @@
 """Exact sampling of fractional Gaussian noise on a uniform grid.
 
 The default sampler is circulant embedding (Davies-Harte) of the Toeplitz
-increment autocovariance: O(m log m) per draw and exact in distribution.
+increment autocovariance, exact in distribution: each draw scales the m+1
+distinct Fourier coefficients by amplitudes cached per grid and runs one
+real inverse FFT of length 2m.
 A dense Cholesky sampler serves as the slow oracle and as the fallback when
 the embedding is not nonnegative definite (which does not happen for
 H in (1/2, 1) at the sizes this package uses, but is guarded anyway).
@@ -12,7 +14,7 @@ Randomness comes from numpy's counter-based Philox generator keyed by
 Gaussians are produced by `Generator.standard_normal` (ziggurat).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -93,17 +95,18 @@ def increment_autocov(grid: FbmGrid, lag) -> float:
 
 @lru_cache(maxsize=16)
 def _embedding_spectrum(step: float, count: int, hurst: float):
-    """Eigenvalues of the length-2m circulant embedding; None if indefinite."""
+    """Draw amplitudes sqrt(m * eig_k), k = 0..m, of the length-2m circulant
+    embedding (times sqrt(2) at k = 0 and m); None if it is indefinite."""
     grid = FbmGrid(step, count, hurst)
     m = count
     rho = increment_autocov(grid, np.arange(m + 1))
-    circ = np.concatenate([rho, rho[m - 1 : 0 : -1]])  # length 2m
-    eig = np.fft.fft(circ).real
+    eig = np.fft.rfft(np.concatenate([rho, rho[m - 1 : 0 : -1]])).real
     if eig.min() < -NEG_EIG_RTOL * eig.max():
         return None
-    eig = np.clip(eig, 0.0, None)
-    eig.setflags(write=False)
-    return eig
+    amp = np.sqrt(m * np.clip(eig, 0.0, None))
+    amp[[0, m]] *= np.sqrt(2.0)
+    amp.setflags(write=False)
+    return amp
 
 
 @lru_cache(maxsize=4)
@@ -119,31 +122,30 @@ def _cholesky_factor(step: float, count: int, hurst: float):
 
 
 def sample_circulant(grid: FbmGrid, seed: RngSeed) -> IncrementSeries:
-    """Exact fGn draw via circulant embedding and one FFT.
+    """Exact fGn draw via circulant embedding and one real inverse FFT.
 
     Falls back to the Cholesky sampler (flagged in the result) if the
     embedding has an eigenvalue below -NEG_EIG_RTOL * max; smaller negative
     eigenvalues are clamped to zero.
     """
-    eig = _embedding_spectrum(grid.step, grid.count, grid.hurst)
-    if eig is None:
+    amp = _embedding_spectrum(grid.step, grid.count, grid.hurst)
+    if amp is None:
         out = sample_cholesky(grid, seed)
         out.fallback = True
         return out
-    values = _circulant_draw(eig, grid.count, seed.generator())
+    values = _circulant_draw(amp, grid.count, seed.generator())
     return IncrementSeries(grid=grid, values=values, method="circulant")
 
 
-def _circulant_draw(eig, m, rng):
-    big = 2 * m
-    ends = rng.standard_normal(2)
-    ab = rng.standard_normal((m - 1, 2))
-    y = np.empty(big, dtype=complex)
-    y[0] = np.sqrt(eig[0]) * ends[0]
-    y[m] = np.sqrt(eig[m]) * ends[1]
-    y[1:m] = np.sqrt(eig[1:m] / 2.0) * (ab[:, 0] + 1j * ab[:, 1])
-    y[m + 1 :] = np.conj(y[1:m][::-1])
-    return np.fft.fft(y)[:m].real / np.sqrt(big)
+def _circulant_draw(amp, m, rng):
+    # normals fill [re_0, re_m, re_1, im_1, ..., im_{m-1}]; the conjugate makes
+    # this the 2m-point FFT of the Hermitian vector; irfft drops im_0 and im_m
+    half = np.empty(m + 1, dtype=complex)
+    rng.standard_normal(out=half.view(float)[: 2 * m])
+    half[m] = half[0].imag
+    np.conjugate(half, out=half)
+    half *= amp
+    return np.fft.irfft(half, n=2 * m)[:m]
 
 
 def sample_cholesky(grid: FbmGrid, seed: RngSeed) -> IncrementSeries:

@@ -2,16 +2,20 @@
 
 The SDE dX_t = -theta X_t dt + dB_t (fBm driver, H > 1/2) has the explicit
 solution X_t = e^(-theta t) (x0 + int_0^t e^(theta s) dB_s).  We advance X on
-a fine grid of step delta/oversample with the exponential-Euler recursion
+a fine grid of step d = delta/oversample with the exponential-Euler recursion
 
     X_{t+d} = e^(-theta d) X_t + dB,
 
 which is exact for the drift and leaves only the left-point Young-integral
-error, and subsample every `oversample`-th point to get the observed series.
+error.  Only every M-th point (M = oversample) is observed, so the recursion
+runs once per observation step on the weighted sum of its M increments,
+
+    X_{t+delta} = a^M X_t + sum_{j<M} a^(M-1-j) dB_j,    a = e^(-theta d),
+
+the same path as the fine-grid recursion up to rounding.
 """
 
 import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,17 +123,12 @@ def simulate_path(
                 f"injected increments have count {incs.grid.count}, expected {total}"
             )
 
-    a = np.exp(-params.theta * fine.step)
-    # noise[j] = sum_{k<=j} a^(j-k) dB_k, i.e. the driven part of X at (j+1)*step
-    noise = scipy.signal.lfilter([1.0], [1.0, -a], incs.values)
-    x_fine = np.empty(total + 1)
-    x_fine[0] = params.x0
-    x_fine[1:] = noise
-    if params.x0 != 0.0:
-        x_fine[1:] += params.x0 * np.exp(
-            -params.theta * fine.step * np.arange(1, total + 1)
-        )
-    x = x_fine[::m].copy()
+    # x[i+1] = a^m x[i] + sum_j a^(m-1-j) dB_{i*m+j}, seeded with x[0] = x0
+    w = np.exp(-params.theta * fine.step) ** np.arange(m, -1, -1)
+    x = np.empty(n + 1)
+    x[0] = params.x0
+    np.matmul(incs.values.reshape(n, m), w[1:], out=x[1:])
+    x = scipy.signal.lfilter([1.0], [1.0, -w[0]], x)
     meta = {
         "method": incs.method,
         "fallback": incs.fallback,
@@ -179,26 +178,34 @@ def write_path_csv(path: ObservedPath, dest) -> None:
 
 
 def read_path_csv(src) -> tuple[np.ndarray, float]:
-    """Read a path CSV produced by write_path_csv; returns (x, delta)."""
+    """Read a path CSV produced by write_path_csv; returns (x, delta).
+
+    The `i` column must count 0..n and the times must satisfy
+    |t_i - i * delta| <= 1e-9 * max(1, |t_i|) with delta = t_1 - t_0.
+    """
     own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
     fh = open(src, "r", newline="") if own else src
     try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader([fh.readline()]), None)
         if header != ["i", "t", "x"]:
             raise DomainError(f"expected CSV header i,t,x, got {header}")
-        ts, xs = [], []
-        for row in reader:
-            if not row:
-                continue
-            ts.append(float(row[1]))
-            xs.append(float(row[2]))
+        try:
+            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise DomainError(f"malformed path CSV: {exc}") from exc
     finally:
         if own:
             fh.close()
-    if len(xs) < 3:
+    if rows.shape[0] < 3:
         raise DomainError("path CSV must contain at least 3 observations")
-    delta = ts[1] - ts[0]
-    if delta <= 0:
+    if rows.shape[1] != 3:
+        raise DomainError(f"path CSV rows must have 3 columns, got {rows.shape[1]}")
+    idx, t, x = rows.T
+    if not np.array_equal(idx, np.arange(idx.size)):
+        raise DomainError("column i must count 0, 1, ..., n")
+    delta = t[1] - t[0]
+    if not delta > 0:
         raise DomainError("time column must be strictly increasing")
-    return np.asarray(xs), delta
+    if not np.all(np.abs(t - idx * delta) <= 1e-9 * np.maximum(1.0, np.abs(t))):
+        raise DomainError("time column is not equidistant: need t_i = i * delta")
+    return np.ascontiguousarray(x), float(delta)

@@ -172,7 +172,7 @@ def _default_threads() -> int:
     env = os.environ.get("FOU_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError as exc:
             raise ConfigError(f"FOU_THREADS must be an integer, got {env!r}") from exc
     return 1
@@ -187,6 +187,8 @@ def run(config: McConfig, threads: int | None = None) -> McReport:
     """
     if threads is None:
         threads = _default_threads()
+    if threads < 1:
+        raise ConfigError(f"worker count must be >= 1, got {threads}")
     n_rep = config.replications
     params = config.params
     report = McReport(config=config)

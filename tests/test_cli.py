@@ -80,6 +80,38 @@ def test_estimate_roundtrip(tmp_path, capsys):
     assert set(doc) == {"theta_hat", "numerator", "denominator", "n", "delta"}
 
 
+def _edit_golden_row(tmp_path, i, col, value):
+    lines = (DATA / "golden_path.csv").read_text().splitlines()
+    cells = lines[i + 1].split(",")
+    cells[col] = value
+    lines[i + 1] = ",".join(cells)
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "i, col, value",
+    [
+        (5, 0, "6"),  # duplicated index
+        (0, 0, "1"),  # index not starting at 0
+        (40, 1, "4.05"),  # one time off the grid
+        (64, 1, "6.4000001"),  # last time off by 1e-7
+        (3, 2, "abc"),  # unparsable value
+    ],
+)
+def test_estimate_rejects_inconsistent_csv_exits_2(tmp_path, capsys, i, col, value):
+    path = _edit_golden_row(tmp_path, i, col, value)
+    assert run_cli(["estimate", "--in", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_estimate_accepts_times_within_tolerance(tmp_path, capsys):
+    # t_40 = 4.000000000000001 is 1e-15 off 40 * 0.1 and still on the grid
+    path = _edit_golden_row(tmp_path, 40, 1, "4.000000000000001")
+    assert run_cli(["estimate", "--in", str(path)]) == 0
+
+
 def test_estimate_missing_file_exits_2(capsys):
     assert run_cli(["estimate", "--in", "/nonexistent/path.csv"]) == 2
 
@@ -197,6 +229,15 @@ def test_mc_gamma_outside_window_exits_2(tmp_path, capsys):
     doc["n_list"] = [16]
     doc["gamma"] = 0.9
     cfg.write_text(json.dumps(doc))
+    assert run_cli(["mc", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_mc_nonpositive_threads_exits_2(tmp_path, capsys, monkeypatch, threads):
+    cfg = _mc_config(tmp_path)
+    assert run_cli(["mc", str(cfg), "--threads", threads]) == 2
+    assert "worker count" in capsys.readouterr().err
+    monkeypatch.setenv("FOU_THREADS", threads)
     assert run_cli(["mc", str(cfg)]) == 2
 
 

@@ -90,6 +90,38 @@ def test_embedding_spectrum_nonnegative_across_sizes():
             assert eig.min() >= 0.0
 
 
+def _complex_fft_draw(grid, seed):
+    # reference sampler: the full 2m-point Hermitian vector through a complex
+    # FFT, with the eigenvalues recomputed on every draw
+    m = grid.count
+    rho = increment_autocov(grid, np.arange(m + 1))
+    eig = np.fft.fft(np.concatenate([rho, rho[m - 1 : 0 : -1]])).real
+    eig = np.clip(eig, 0.0, None)
+    rng = seed.generator()
+    ends = rng.standard_normal(2)
+    ab = rng.standard_normal((m - 1, 2))
+    y = np.empty(2 * m, dtype=complex)
+    y[0] = np.sqrt(eig[0]) * ends[0]
+    y[m] = np.sqrt(eig[m]) * ends[1]
+    y[1:m] = np.sqrt(eig[1:m] / 2.0) * (ab[:, 0] + 1j * ab[:, 1])
+    y[m + 1 :] = np.conj(y[1:m][::-1])
+    return np.fft.fft(y)[:m].real / np.sqrt(2 * m)
+
+
+@pytest.mark.parametrize("hurst", [0.55, 0.7, 0.95])
+@pytest.mark.parametrize("count", [1, 2, 3, 257, 4096])
+def test_circulant_matches_complex_fft_oracle(count, hurst):
+    # the half-spectrum real FFT gives the reference realization of each
+    # (seed, stream), not just the same law
+    grid = FbmGrid(step=0.05, count=count, hurst=hurst)
+    for stream in range(3):
+        seed = RngSeed(2718, stream)
+        got = sample_circulant(grid, seed).values
+        ref = _complex_fft_draw(grid, seed)
+        assert got.shape == (count,)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_circulant_determinism_and_stream_independence():
     grid = FbmGrid(step=0.1, count=256, hurst=0.7)
     a = sample_circulant(grid, RngSeed(42, 3)).values

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from fracou.errors import DomainError, SizeError
 from fracou.fbm import FbmGrid, IncrementSeries, RngSeed, sample_circulant
@@ -95,6 +96,31 @@ def test_path_equals_manual_recursion():
         if (j + 1) % scheme.oversample == 0:
             manual.append(x)
     assert np.max(np.abs(path.x - np.array(manual))) <= 1e-10
+
+
+def _fine_grid_path(params, scheme, incs):
+    # reference simulator: lfilter over every fine step, the x0 decay added
+    # in closed form, then every oversample-th point kept
+    step, total = scheme.fine_step, scheme.n * scheme.oversample
+    a = math.exp(-params.theta * step)
+    x = np.empty(total + 1)
+    x[0] = params.x0
+    x[1:] = scipy.signal.lfilter([1.0], [1.0, -a], incs.values)
+    x[1:] += params.x0 * np.exp(-params.theta * step * np.arange(1, total + 1))
+    return x[:: scheme.oversample]
+
+
+@pytest.mark.parametrize("oversample", [1, 2, 8])
+def test_block_recursion_matches_fine_grid_reference(oversample):
+    scheme = SamplingScheme(n=1000, delta=0.02, oversample=oversample)
+    for theta, x0 in ((0.3, 0.0), (1.0, 2.5), (2.0, -7.0)):
+        params = ModelParams(theta=theta, hurst=0.7, x0=x0)
+        fine = FbmGrid(scheme.fine_step, scheme.n * oversample, params.hurst)
+        incs = sample_circulant(fine, RngSeed(4242, oversample))
+        path = simulate_path(params, scheme, RngSeed(0), increments=incs)
+        ref = _fine_grid_path(params, scheme, incs)
+        assert path.x[0] == x0
+        assert np.max(np.abs(path.x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_exact_second_moment_small_time_and_x0():

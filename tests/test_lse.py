@@ -60,6 +60,23 @@ def test_estimator_components_consistent():
     assert res.denominator == pytest.approx(0.5 * np.sum(prev**2), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [100, 8000, 100000])
+def test_sums_match_fsum(n):
+    # the telescoped dot-product sums against exactly rounded math.fsum sums
+    scheme = SamplingScheme.from_gamma(n, 0.6, oversample=2)
+    for theta in (0.05, 1.0, 5.0):
+        for hurst in (0.55, 0.7, 0.95):
+            for x0 in (0.0, -2.5):
+                params = ModelParams(theta=theta, hurst=hurst, x0=x0)
+                x = simulate_path(params, scheme, RngSeed(77, n)).x
+                res = lse.estimate_series(x, scheme.delta)
+                prev = x[:-1]
+                num = -math.fsum(prev * np.diff(x))
+                den = scheme.delta * math.fsum(prev * prev)
+                assert res.numerator == pytest.approx(num, rel=1e-13, abs=0)
+                assert res.denominator == pytest.approx(den, rel=1e-13, abs=0)
+
+
 def test_estimate_matches_estimate_series():
     params = ModelParams(theta=1.0, hurst=0.7)
     scheme = SamplingScheme(n=64, delta=0.1, oversample=2)

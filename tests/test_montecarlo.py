@@ -82,6 +82,15 @@ def test_config_validation():
         _config(eta=0.1)  # dlt missing
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_run_rejects_nonpositive_worker_count(threads, monkeypatch):
+    with pytest.raises(ConfigError):
+        montecarlo.run(_config(), threads=threads)
+    monkeypatch.setenv("FOU_THREADS", str(threads))
+    with pytest.raises(ConfigError):
+        montecarlo.run(_config())
+
+
 def test_smoke_run_report_shape():
     config = _config(eta=0.1, dlt=0.1)
     report = montecarlo.run(config, threads=1)
