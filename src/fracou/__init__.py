@@ -3,8 +3,9 @@
 Subpackages
 -----------
 specialfn   gamma / incomplete gamma / normal CDF wrappers
-fbm         exact fractional Gaussian noise sampling (circulant + Cholesky)
-fou         fOU path simulation and the exact second-moment quadrature
+fbm         exact fGn and weighted-increment sampling (circulant + Cholesky)
+fou         exact fOU paths on the observation grid, the exponential-Euler
+            reference, and the exact second-moment quadrature
 lse         least-squares estimator and studentized statistic
 theory      closed-form constants, variance quadrature, bound budgets
 montecarlo  replicated pipelines and Kolmogorov-distance measurement

@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="simulate one observed path to CSV")
     _add_model_flags(sim)
     sim.add_argument("--x0", type=float, default=0.0)
-    sim.add_argument("--oversample", type=int, default=8)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--stream", type=int, default=0)
     sim.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
@@ -77,10 +76,10 @@ def _add_model_flags(p):
     grid.add_argument("--gamma", type=float)
 
 
-def _scheme_from_args(args, oversample: int = 8) -> SamplingScheme:
+def _scheme_from_args(args) -> SamplingScheme:
     if args.delta is not None:
-        return SamplingScheme(n=args.n, delta=args.delta, oversample=oversample)
-    return SamplingScheme.from_gamma(args.n, args.gamma, oversample=oversample)
+        return SamplingScheme(n=args.n, delta=args.delta)
+    return SamplingScheme.from_gamma(args.n, args.gamma)
 
 
 def cmd_simulate(args) -> int:
@@ -91,7 +90,7 @@ def cmd_simulate(args) -> int:
             "theory/mc outputs are unavailable for this path",
             file=sys.stderr,
         )
-    scheme = _scheme_from_args(args, oversample=args.oversample)
+    scheme = _scheme_from_args(args)
     path = fou.simulate_path(params, scheme, RngSeed(args.seed, args.stream))
     if args.out == "-":
         fou.write_path_csv(path, sys.stdout)
@@ -120,16 +119,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_theory(args) -> int:
     params = ModelParams(theta=args.theta, hurst=args.hurst)
-    if args.gamma is not None:
-        lo, hi = theory.gamma_window(params.hurst)
-        if not (lo < args.gamma < hi):
-            raise ConfigError(
-                f"--gamma {args.gamma} outside the admissible interval ({lo:.6g}, {hi:.6g})"
-            )
+    theory.check_design(params.hurst, args.gamma, args.eta, args.dlt, flags=True)
     scheme = _scheme_from_args(args)
     consts = theory.constants(params, scheme, ef2_mode=args.ef2)
-    if (args.eta is None) != (args.dlt is None):
-        raise ConfigError("--eta and --dlt must be given together")
     if args.eta is not None:
         budget_obj = theory.bound_budget(scheme, params, args.eta, args.dlt)
         budget = dict(budget_obj.terms(), total=budget_obj.total, constant_c=1,
@@ -168,7 +160,12 @@ def _load_mc_config(path: str):
     params = ModelParams(
         theta=doc["theta"], hurst=doc["hurst"], x0=doc.get("x0", 0.0)
     )
-    oversample = doc.get("oversample", 8)
+    if "oversample" in doc:
+        print(
+            "note: config key 'oversample' no longer changes paths "
+            "(paths are drawn exactly on the observation grid)",
+            file=sys.stderr,
+        )
     gamma = doc.get("gamma")
     if "schedule" in doc:
         if gamma is not None or "n_list" in doc:
@@ -181,16 +178,11 @@ def _load_mc_config(path: str):
             extra = set(entry) - {"n", "delta"}
             if extra:
                 raise ConfigError(f"unknown schedule keys: {sorted(extra)}")
-            schedule.append(
-                SamplingScheme(n=entry["n"], delta=entry["delta"], oversample=oversample)
-            )
+            schedule.append(SamplingScheme(n=entry["n"], delta=entry["delta"]))
     elif "n_list" in doc and gamma is not None:
         if not doc["n_list"]:
             raise ConfigError("'n_list' must be nonempty")
-        schedule = [
-            SamplingScheme.from_gamma(n, gamma, oversample=oversample)
-            for n in doc["n_list"]
-        ]
+        schedule = [SamplingScheme.from_gamma(n, gamma) for n in doc["n_list"]]
     else:
         raise ConfigError("config needs 'schedule' or both 'n_list' and 'gamma'")
     config = montecarlo.McConfig(

@@ -27,3 +27,7 @@ class ConfigError(FracouError, ValueError):
 
 class DataQualityError(FracouError, RuntimeError):
     """A Monte Carlo run produced too many degenerate replications."""
+
+
+class ReplicationError(FracouError, RuntimeError):
+    """A Monte Carlo replication failed; the message names its scheme and stream."""

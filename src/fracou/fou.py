@@ -1,18 +1,25 @@
 """Simulation of the fractional Ornstein-Uhlenbeck process.
 
 The SDE dX_t = -theta X_t dt + dB_t (fBm driver, H > 1/2) has the explicit
-solution X_t = e^(-theta t) (x0 + int_0^t e^(theta s) dB_s).  We advance X on
-a fine grid of step d = delta/oversample with the exponential-Euler recursion
+solution X_t = e^(-theta t) (x0 + int_0^t e^(theta s) dB_s).  Observed at
+t_i = i delta it obeys, exactly,
 
-    X_{t+d} = e^(-theta d) X_t + dB,
+    X_{(i+1) delta} = a X_{i delta} + xi_i,    a = e^(-theta delta),
+    xi_i = int_{i delta}^{(i+1) delta} e^(-theta ((i+1) delta - s)) dB_s,
 
-which is exact for the drift and leaves only the left-point Young-integral
-error.  Only every M-th point (M = oversample) is observed, so the recursion
-runs once per observation step on the weighted sum of its M increments,
+and xi_0, xi_1, ... is a stationary Gaussian sequence (Cheridito, Kawaguchi
+& Maejima 2003).  By default xi is drawn exactly by circulant embedding on
+the observation grid (`FbmGrid(delta, n, H, theta)`) and the recursion runs
+as one `lfilter` at step delta, so the path has the exact law of the fOU
+process at the observation times.
 
-    X_{t+delta} = a^M X_t + sum_{j<M} a^(M-1-j) dB_j,    a = e^(-theta d),
+The `increments=` hook keeps the exponential-Euler scheme as a reference:
+given fGn on the fine grid of step d = delta/oversample, the recursion
+X_{t+d} = e^(-theta d) X_t + dB is aggregated per observation step,
 
-the same path as the fine-grid recursion up to rounding.
+    xi_i ~ sum_{j<M} e^(-theta d (M-1-j)) dB_{i M + j},    M = oversample,
+
+which carries an O(d^H) scheme error that vanishes as M grows.
 """
 
 import csv
@@ -35,8 +42,8 @@ __all__ = [
     "read_path_csv",
 ]
 
-#: guard on the total number of fine-grid steps per path
-MAX_FINE_STEPS = 2**26
+#: guard on the number of observation steps per path
+MAX_STEPS = 2**23
 
 
 @dataclass
@@ -58,7 +65,11 @@ class ModelParams:
 
 @dataclass
 class SamplingScheme:
-    """Equidistant observations t_i = i * delta, i = 0..n; horizon T = n * delta."""
+    """Equidistant observations t_i = i * delta, i = 0..n; horizon T = n * delta.
+
+    `oversample` only sizes the fine grid of the exponential-Euler reference
+    (see `simulate_path`); the default exact draw does not use it.
+    """
 
     n: int
     delta: float
@@ -104,31 +115,34 @@ def simulate_path(
     seed: RngSeed,
     increments: IncrementSeries | None = None,
 ) -> ObservedPath:
-    """Simulate one observed path.
+    """Simulate one observed path with the exact law at the observation times.
 
-    `increments` is a test hook: when given, it must be an IncrementSeries on
-    the fine grid of the scheme and is used instead of a fresh fGn draw.
+    `increments` is the hook for the exponential-Euler reference scheme: when
+    given, it must be an fGn IncrementSeries on the fine grid of the scheme
+    (n * oversample increments) and replaces the exact draw.
     """
-    n, m = scheme.n, scheme.oversample
-    total = n * m
-    if total > MAX_FINE_STEPS:
-        raise SizeError(f"n * oversample = {total} exceeds guard {MAX_FINE_STEPS}")
-    fine = FbmGrid(step=scheme.fine_step, count=total, hurst=params.hurst)
+    n = scheme.n
+    if n > MAX_STEPS:
+        raise SizeError(f"n = {n} exceeds guard {MAX_STEPS}")
     if increments is None:
-        incs = sample_circulant(fine, seed)
+        grid = FbmGrid(step=scheme.delta, count=n, hurst=params.hurst, theta=params.theta)
+        incs = sample_circulant(grid, seed)
+        xi = incs.values
     else:
-        incs = increments
-        if incs.grid.count != total:
+        incs, m = increments, scheme.oversample
+        if incs.grid.count != n * m:
             raise DomainError(
-                f"injected increments have count {incs.grid.count}, expected {total}"
+                f"injected increments have count {incs.grid.count}, expected {n * m}"
             )
+        # xi_i = sum_j a_d^(m-1-j) dB_{i*m+j}, a_d = e^(-theta * fine_step)
+        w = np.exp(-params.theta * scheme.fine_step) ** np.arange(m - 1, -1, -1)
+        xi = incs.values.reshape(n, m) @ w
 
-    # x[i+1] = a^m x[i] + sum_j a^(m-1-j) dB_{i*m+j}, seeded with x[0] = x0
-    w = np.exp(-params.theta * fine.step) ** np.arange(m, -1, -1)
+    # x[i+1] = a x[i] + xi_i, seeded with x[0] = x0
     x = np.empty(n + 1)
     x[0] = params.x0
-    np.matmul(incs.values.reshape(n, m), w[1:], out=x[1:])
-    x = scipy.signal.lfilter([1.0], [1.0, -w[0]], x)
+    x[1:] = xi
+    x = scipy.signal.lfilter([1.0], [1.0, -np.exp(-params.theta * scheme.delta)], x)
     meta = {
         "method": incs.method,
         "fallback": incs.fallback,

@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lse, theory
-from .errors import ConfigError, DataQualityError, DegeneratePathError, DomainError
+from .errors import (
+    ConfigError,
+    DataQualityError,
+    DegeneratePathError,
+    DomainError,
+    ReplicationError,
+)
 from .fbm import RngSeed
 from .fou import ModelParams, SamplingScheme, simulate_path
 from .specialfn import std_normal_cdf
@@ -65,14 +71,7 @@ class McConfig:
                 "Monte Carlo studentization requires H in (1/2, 3/4); "
                 f"got {self.params.hurst}"
             )
-        if self.gamma is not None:
-            lo, hi = theory.gamma_window(self.params.hurst)
-            if not (lo < self.gamma < hi):
-                raise ConfigError(
-                    f"gamma={self.gamma} outside the admissible window ({lo}, {hi})"
-                )
-        if (self.eta is None) != (self.dlt is None):
-            raise ConfigError("eta and dlt must be given together")
+        theory.check_design(self.params.hurst, self.gamma, self.eta, self.dlt)
 
 
 @dataclass
@@ -166,6 +165,11 @@ def _replicate(args):
         return lse.estimate(path).theta_hat
     except DegeneratePathError:
         return math.nan
+    except Exception as exc:
+        raise ReplicationError(
+            f"replication failed at n={scheme.n}, delta={scheme.delta!r}, "
+            f"Philox (seed={seed}, stream={stream}): {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _default_threads() -> int:

@@ -12,17 +12,12 @@ from .errors import DomainError
 __all__ = ["gamma", "lower_incomplete_gamma", "std_normal_cdf"]
 
 
-def _as_float(x):
-    arr = np.asarray(x, dtype=float)
-    return arr
-
-
 def gamma(x):
     """Euler gamma function for positive real arguments.
 
     Raises DomainError for non-positive or non-finite input.
     """
-    arr = _as_float(x)
+    arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError(f"gamma requires finite x > 0, got {x!r}")
     out = sp.gamma(arr)
@@ -31,8 +26,8 @@ def gamma(x):
 
 def lower_incomplete_gamma(a, x):
     """Unregularized lower incomplete gamma gamma(a, x) = int_0^x t^(a-1) e^(-t) dt."""
-    a_arr = _as_float(a)
-    x_arr = _as_float(x)
+    a_arr = np.asarray(a, dtype=float)
+    x_arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(a_arr)) or np.any(a_arr <= 0.0):
         raise DomainError(f"lower_incomplete_gamma requires a > 0, got a={a!r}")
     if not np.all(np.isfinite(x_arr)) or np.any(x_arr < 0.0):
@@ -48,7 +43,7 @@ def std_normal_cdf(z):
     Raises DomainError on non-finite input (NaN would otherwise propagate
     silently into Kolmogorov distances).
     """
-    arr = _as_float(z)
+    arr = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"std_normal_cdf requires finite z, got {z!r}")
     out = sp.ndtr(arr)

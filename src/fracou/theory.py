@@ -14,7 +14,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from .errors import DomainError, SizeError
+from .errors import ConfigError, DomainError, SizeError
 from .fou import ModelParams, SamplingScheme
 from .specialfn import gamma, lower_incomplete_gamma
 
@@ -32,6 +32,7 @@ __all__ = [
     "bound_budget",
     "specialized_budget",
     "gamma_window",
+    "check_design",
 ]
 
 #: cost guard for the 4-D variance quadrature
@@ -304,3 +305,25 @@ def gamma_window(hurst: float) -> tuple[float, float]:
     """Open admissible interval (1/(4H-1), 1/(2H)) for delta = n^(-gamma)."""
     _require_clt_range(hurst, "gamma_window")
     return 1.0 / (4.0 * hurst - 1.0), 1.0 / (2.0 * hurst)
+
+
+def check_design(hurst, gamma, eta, dlt, flags: bool = False) -> None:
+    """Reject a mesh exponent gamma outside `gamma_window(hurst)` and an
+    (eta, dlt) budget pair given only in part (ConfigError).
+
+    `flags=True` words the messages for the `fracou theory` command line.
+    """
+    if gamma is not None:
+        lo, hi = gamma_window(hurst)
+        if not (lo < gamma < hi):
+            raise ConfigError(
+                f"--gamma {gamma} outside the admissible interval ({lo:.6g}, {hi:.6g})"
+                if flags
+                else f"gamma={gamma} outside the admissible window ({lo}, {hi})"
+            )
+    if (eta is None) != (dlt is None):
+        raise ConfigError(
+            "--eta and --dlt must be given together"
+            if flags
+            else "eta and dlt must be given together"
+        )

@@ -46,6 +46,10 @@ def test_simulate_golden_csv(tmp_path, capsys):
     assert out.read_bytes() == golden
 
 
+def test_simulate_oversample_flag_removed_exits_2(capsys):
+    assert run_cli(SIM_ARGS + ["--oversample", "8", "--out", "-"]) == 2
+
+
 def test_simulate_to_stdout(capsys):
     assert run_cli(SIM_ARGS + ["--out", "-"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -197,6 +201,18 @@ def test_mc_smoke_and_csv(tmp_path, capsys):
     assert cells[0] == "16"
     assert float(cells[2]) == pytest.approx(4.0)
     assert cells[9] == ""  # no budget configured
+
+
+def test_mc_oversample_key_accepted_with_note(tmp_path, capsys):
+    cfg = _mc_config(tmp_path)
+    assert run_cli(["mc", str(cfg), "--threads", "1"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if "oversample" in line]) == 1
+    doc = json.loads(cfg.read_text())
+    del doc["oversample"]
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["mc", str(cfg), "--threads", "1"]) == 0
+    assert "oversample" not in capsys.readouterr().err
 
 
 def test_mc_unknown_key_exits_2(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.stats
 
 from fracou.errors import DomainError, SizeError
+from fracou.fou import ModelParams, exact_second_moment
 from fracou.fbm import (
     FbmGrid,
     RngSeed,
@@ -78,6 +80,116 @@ def test_grid_validation():
         FbmGrid(step=1.0, count=0, hurst=0.7)
     with pytest.raises(DomainError):
         FbmGrid(step=1.0, count=8, hurst=1.0)
+    with pytest.raises(DomainError):
+        FbmGrid(step=1.0, count=8, hurst=0.7, theta=-1.0)
+    with pytest.raises(DomainError):
+        FbmGrid(step=1.0, count=8, hurst=0.5, theta=1.0)
+    with pytest.raises(DomainError):
+        increment_autocov(FbmGrid(step=1.0, count=8, hurst=0.7, theta=1.0), 2.5)
+
+
+# --- exponentially weighted increments xi_i (theta > 0) ---------------------
+
+
+def test_weighted_autocov_lag_zero_is_second_moment():
+    # xi_0 = X_delta when x0 = 0, so c(0) = E[X_delta^2]
+    for theta in (0.05, 1.0, 5.0):
+        for h in (0.55, 0.7, 0.95):
+            for step in (0.05, 0.25):
+                grid = FbmGrid(step=step, count=4, hurst=h, theta=theta)
+                expect = exact_second_moment(ModelParams(theta, h), step)
+                assert increment_autocov(grid, 0) == pytest.approx(expect, rel=1e-7)
+
+
+@pytest.mark.parametrize("hurst", [0.55, 0.7, 0.95])
+@pytest.mark.parametrize("theta", [0.3, 2.0])
+def test_weighted_autocov_quadratic_form_is_second_moment(theta, hurst):
+    # X_{(k+1) delta} = sum_{i<=k} a^(k-i) xi_i with x0 = 0, so the quadratic
+    # form sum_{i,j<=k} a^(2k-i-j) c(|i-j|) is E[X_{(k+1) delta}^2]
+    step = 0.1
+    a = np.exp(-theta * step)
+    c = increment_autocov(FbmGrid(step, 51, hurst, theta), np.arange(51))
+    for k in (0, 1, 2, 5, 20, 50):
+        i = np.arange(k + 1)
+        v = a ** (k - i)
+        form = v @ c[np.abs(i[:, None] - i[None, :])] @ v
+        expect = exact_second_moment(ModelParams(theta, hurst), (k + 1) * step)
+        assert form == pytest.approx(expect, rel=1e-7), k
+
+
+@pytest.mark.parametrize("decay", [25.0, 100.0, 1000.0])
+def test_weighted_autocov_fast_decay_matches_adaptive_quadrature(decay):
+    # theta * step far above 1: w(s) lives on s ~ 1/decay, where a single
+    # 16-point panel on [0, 1] is off by 3e-4 at decay = 100
+    step = 0.5
+    for h in (0.55, 0.7, 0.95):
+        p = 2 * h - 2
+        got = increment_autocov(FbmGrid(step, 8, h, decay / step), np.arange(2, 12))
+        for k in range(2, 12):
+            def f(s):
+                return ((k + s) ** p + (k - s) ** p) * (
+                    np.exp(-decay * s) - np.exp(-decay * (2 - s))
+                )
+
+            ref = scipy.integrate.quad(
+                f, 0.0, 1.0, points=[1 / decay, 10 / decay], epsabs=0.0, epsrel=1e-11
+            )[0]
+            ref *= h * (2 * h - 1) * step ** (2 * h - 1) / (2 * decay / step)
+            assert got[k - 2] == pytest.approx(ref, rel=1e-10), (h, k)
+        e0 = exact_second_moment(ModelParams(decay / step, h), step)
+        assert increment_autocov(FbmGrid(step, 8, h, decay / step), 0) == pytest.approx(
+            e0, rel=1e-7
+        )
+
+
+def test_weighted_autocov_tends_to_fgn():
+    lags = np.arange(200)
+    for h in (0.51, 0.7, 0.99):
+        weighted = increment_autocov(FbmGrid(0.1, 8, h, theta=1e-9), lags)
+        fgn = increment_autocov(FbmGrid(0.1, 8, h), lags)
+        assert np.max(np.abs(weighted - fgn) / fgn) <= 1e-6
+
+
+@pytest.mark.parametrize("theta", [0.05, 1.0, 5.0, 50.0])
+def test_weighted_embedding_positive_across_sizes(theta):
+    # no clamping and no Cholesky fallback on the grids the simulator uses
+    for h in (0.51, 0.6, 0.7, 0.8, 0.9, 0.99):
+        for count in (16, 500, 1000, 8000, 2**17):
+            amp = _embedding_spectrum(count**-0.6, count, h, theta)
+            assert amp is not None and amp.min() > 0.0, (h, count)
+
+
+def test_weighted_circulant_vs_cholesky_same_law():
+    h, d, count, n = 0.7, 0.2, 64, 4000
+    grid = FbmGrid(step=d, count=count, hurst=h, theta=1.0)
+    circ = np.empty((n, count))
+    chol = np.empty((n, count))
+    for r in range(n):
+        circ[r] = sample_circulant(grid, RngSeed(13, r)).values
+        chol[r] = sample_cholesky(grid, RngSeed(14, r)).values
+    assert not sample_circulant(grid, RngSeed(13, 0)).fallback
+    bc = np.cumsum(circ, axis=1)
+    bh = np.cumsum(chol, axis=1)
+    for j in (0, 15, 31, 63):
+        p = scipy.stats.ks_2samp(bc[:, j], bh[:, j]).pvalue
+        assert p > 1e-3, f"marginal {j}: p={p}"
+        p = scipy.stats.ks_2samp(circ[:, j], chol[:, j]).pvalue
+        assert p > 1e-3, f"increment {j}: p={p}"
+
+
+def test_weighted_lagwise_autocov_zscores():
+    # empirical Cov(xi_i, xi_{i+k}) per lag, averaged along each draw, within
+    # 3.5 standard errors of c(k) at every lag
+    count, n = 64, 20000
+    grid = FbmGrid(step=0.25, count=count, hurst=0.65, theta=1.5)
+    draws = np.array([sample_circulant(grid, RngSeed(8, r)).values for r in range(n)])
+    lags = np.arange(count)
+    per_draw = np.array(
+        [np.mean(draws[:, : count - k] * draws[:, k:], axis=1) for k in lags]
+    )
+    se = per_draw.std(axis=1, ddof=1) / np.sqrt(n)
+    z = np.abs(per_draw.mean(axis=1) - increment_autocov(grid, lags)) / se
+    assert z.max() <= 3.5
 
 
 def test_embedding_spectrum_nonnegative_across_sizes():

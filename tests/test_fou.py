@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.signal
+import scipy.stats
 
 from fracou.errors import DomainError, SizeError
 from fracou.fbm import FbmGrid, IncrementSeries, RngSeed, sample_circulant
@@ -159,19 +160,42 @@ def test_simulated_second_moment_matches_quadrature():
 
 
 def test_oversampling_converges_to_exact_law():
-    # bias of E[X_T^2] against the m-free quadrature must shrink as the
-    # oversampling factor grows
+    # exponential-Euler reference: bias of E[X_T^2] against the m-free
+    # quadrature must shrink as the oversampling factor grows
     n_rep = 1500
     t_end = 2.0
     expect = exact_second_moment(PARAMS, t_end)
     bias = []
     for m in (1, 4, 16):
         scheme = SamplingScheme(n=20, delta=0.1, oversample=m)
+        fine = FbmGrid(scheme.fine_step, scheme.n * m, PARAMS.hurst)
         sq = np.empty(n_rep)
         for r in range(n_rep):
-            sq[r] = simulate_path(PARAMS, scheme, RngSeed(57 + m, r)).x[-1] ** 2
+            seed = RngSeed(57 + m, r)
+            incs = sample_circulant(fine, seed)
+            sq[r] = simulate_path(PARAMS, scheme, seed, increments=incs).x[-1] ** 2
         bias.append(abs(sq.mean() - expect))
     assert bias[2] < bias[0]
+
+
+def test_exact_path_matches_fine_reference_law():
+    # two-sample KS: the exact draw against exponential-Euler at oversample 64,
+    # on X_T and on the lag-1 product X_{T-delta} X_T.  At theta delta = 0.5
+    # the reference's E[X_T^2] is 0.8% off the exact value, one-step Euler's
+    # (oversample 1) 61%, which this test detects.
+    params = ModelParams(theta=1.0, hurst=0.7, x0=0.5)
+    scheme = SamplingScheme(n=8, delta=0.5, oversample=64)
+    fine = FbmGrid(scheme.fine_step, scheme.n * 64, params.hurst)
+    n_rep = 4000
+    exact = np.empty((n_rep, 2))
+    ref = np.empty((n_rep, 2))
+    for r in range(n_rep):
+        exact[r] = simulate_path(params, scheme, RngSeed(61, r)).x[-2:]
+        seed = RngSeed(62, r)
+        incs = sample_circulant(fine, seed)
+        ref[r] = simulate_path(params, scheme, seed, increments=incs).x[-2:]
+    for stat in (lambda v: v[:, 1], lambda v: v[:, 0] * v[:, 1]):
+        assert scipy.stats.ks_2samp(stat(exact), stat(ref)).pvalue > 1e-3
 
 
 def test_scheme_error_halves_with_oversampling():

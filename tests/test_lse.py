@@ -113,5 +113,5 @@ def test_full_pipeline_regression():
     res = lse.estimate(path)
     consts = theory.constants(params, scheme)
     z = lse.studentize(res, params, consts)
-    assert res.theta_hat == pytest.approx(0.33324519616171194, rel=1e-12)
-    assert z == pytest.approx(-2.4049595648564854, rel=1e-12)
+    assert res.theta_hat == pytest.approx(0.33491279548280706, rel=1e-12)
+    assert z == pytest.approx(-2.3989445966634877, rel=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracou import montecarlo
-from fracou.errors import ConfigError, DomainError
+from fracou.errors import ConfigError, DomainError, ReplicationError
 from fracou.fbm import RngSeed
 from fracou.fou import ModelParams, SamplingScheme
 from fracou.montecarlo import McConfig, ks_to_std_normal
@@ -89,6 +89,20 @@ def test_run_rejects_nonpositive_worker_count(threads, monkeypatch):
     monkeypatch.setenv("FOU_THREADS", str(threads))
     with pytest.raises(ConfigError):
         montecarlo.run(_config())
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_worker_failure_names_scheme_and_stream(threads):
+    # a scheme grown past the size guard after validation fails inside the
+    # worker; the error must say which scheme and Philox stream failed
+    scheme = SamplingScheme(n=16, delta=0.25)
+    config = _config(schedule=[scheme], base_seed=RngSeed(5, 300))
+    scheme.n = 2**24
+    with pytest.raises(ReplicationError) as info:
+        montecarlo.run(config, threads=threads)
+    msg = str(info.value)
+    assert f"n={2**24}" in msg and "delta=0.25" in msg
+    assert "seed=5, stream=300" in msg and "SizeError" in msg
 
 
 def test_smoke_run_report_shape():
