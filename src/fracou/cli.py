@@ -5,8 +5,8 @@ All randomness flows from explicit seeds; nothing is seeded from the clock.
 """
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 
 from . import fou, lse, montecarlo, theory
@@ -14,24 +14,44 @@ from .errors import FracouError, ConfigError, DomainError
 from .fbm import RngSeed
 from .fou import ModelParams, SamplingScheme
 
-_MC_KEYS = {
-    "theta",
-    "hurst",
-    "x0",
-    "replications",
-    "seed",
-    "stream",
-    "ef2_mode",
-    "eta",
-    "dlt",
-    "oversample",
-    "gamma",
-    "n_list",
-    "schedule",
-    "out_json",
-    "out_csv",
+#: Python types of each JSON type an mc config may hold (a bool is no number)
+_JSON_TYPES = {
+    "a number": (int, float),
+    "an integer": int,
+    "a string": str,
+    "a list": list,
+    "an object": dict,
 }
-_MC_REQUIRED = {"theta", "hurst", "replications", "seed"}
+#: mc config key -> (JSON type, required); a null value counts as absent
+_MC_KEYS = {
+    "theta": ("a number", True),
+    "hurst": ("a number", True),
+    "x0": ("a number", False),
+    "replications": ("an integer", True),
+    "seed": ("an integer", True),
+    "stream": ("an integer", False),
+    "ef2_mode": ("a string", False),
+    "eta": ("a number", False),
+    "dlt": ("a number", False),
+    "oversample": ("an integer", False),
+    "gamma": ("a number", False),
+    "n_list": ("a list", False),
+    "schedule": ("a list", False),
+    "out_json": ("a string", False),
+    "out_csv": ("a string", False),
+}
+#: keys of one `schedule` entry, all required (null counts as missing)
+_SCHEDULE_KEYS = {"n": "an integer", "delta": "a number"}
+#: TheoryConstants fields printed by `fracou theory`, next to `budget`
+_THEORY_FIELDS = (
+    "alpha_n",
+    "alpha_limit_rate",
+    "a_theta_h",
+    "ef2",
+    "ef2_source",
+    "lambda_n",
+    "sigma_h2",
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,24 +122,13 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     x, delta = fou.read_path_csv(args.infile)
     result = lse.estimate_series(x, delta)
-    print(
-        json.dumps(
-            {
-                "theta_hat": result.theta_hat,
-                "numerator": result.numerator,
-                "denominator": result.denominator,
-                "n": result.n,
-                "delta": result.delta,
-            },
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(dataclasses.asdict(result), sort_keys=True))
     return 0
 
 
 def cmd_theory(args) -> int:
     params = ModelParams(theta=args.theta, hurst=args.hurst)
-    theory.check_design(params.hurst, args.gamma, args.eta, args.dlt, flags=True)
+    theory.check_design(params.hurst, args.gamma, args.eta, args.dlt)
     scheme = _scheme_from_args(args)
     consts = theory.constants(params, scheme, ef2_mode=args.ef2)
     if args.eta is not None:
@@ -128,35 +137,29 @@ def cmd_theory(args) -> int:
                       note="rate-only: theorem constant c unknown")
     else:
         budget = None
-    print(
-        json.dumps(
-            {
-                "alpha_n": consts.alpha_n,
-                "alpha_limit_rate": consts.alpha_limit_rate,
-                "a_theta_h": consts.a_theta_h,
-                "ef2": consts.ef2,
-                "ef2_source": consts.ef2_source,
-                "lambda_n": consts.lambda_n,
-                "sigma_h2": consts.sigma_h2,
-                "budget": budget,
-            },
-            sort_keys=True,
-        )
-    )
+    doc = {name: getattr(consts, name) for name in _THEORY_FIELDS}
+    print(json.dumps(dict(doc, budget=budget), sort_keys=True))
     return 0
+
+
+def _check_type(what: str, value, kind: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ConfigError(f"{what} must be {kind}, got {json.dumps(value)}")
 
 
 def _load_mc_config(path: str):
     with open(path) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError("mc config must be a JSON object")
-    unknown = set(doc) - _MC_KEYS
+    _check_type("mc config", doc, "an object")
+    doc = {key: value for key, value in doc.items() if value is not None}
+    unknown = set(doc) - set(_MC_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = _MC_REQUIRED - set(doc)
+    missing = {key for key, (_, required) in _MC_KEYS.items() if required} - set(doc)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
+    for key, value in doc.items():
+        _check_type(f"config key {key!r}", value, _MC_KEYS[key][0])
     params = ModelParams(
         theta=doc["theta"], hurst=doc["hurst"], x0=doc.get("x0", 0.0)
     )
@@ -171,17 +174,23 @@ def _load_mc_config(path: str):
         if gamma is not None or "n_list" in doc:
             raise ConfigError("give either 'schedule' or ('n_list' and 'gamma'), not both")
         entries = doc["schedule"]
-        if not isinstance(entries, list) or not entries:
+        if not entries:
             raise ConfigError("'schedule' must be a nonempty list of {n, delta}")
         schedule = []
         for entry in entries:
-            extra = set(entry) - {"n", "delta"}
+            _check_type("a schedule entry", entry, "an object")
+            extra = set(entry) - set(_SCHEDULE_KEYS)
             if extra:
                 raise ConfigError(f"unknown schedule keys: {sorted(extra)}")
+            for key, kind in _SCHEDULE_KEYS.items():
+                what = f"{key!r} of schedule entry {json.dumps(entry)}"
+                _check_type(what, entry.get(key), kind)
             schedule.append(SamplingScheme(n=entry["n"], delta=entry["delta"]))
     elif "n_list" in doc and gamma is not None:
         if not doc["n_list"]:
             raise ConfigError("'n_list' must be nonempty")
+        for n in doc["n_list"]:
+            _check_type("an 'n_list' entry", n, "an integer")
         schedule = [SamplingScheme.from_gamma(n, gamma) for n in doc["n_list"]]
     else:
         raise ConfigError("config needs 'schedule' or both 'n_list' and 'gamma'")
@@ -209,15 +218,7 @@ def cmd_mc(args) -> int:
         sys.stdout.write(payload)
     if out_csv:
         with open(out_csv, "w") as fh:
-            fh.write(",".join(montecarlo.CSV_COLUMNS) + "\n")
-            for res in report.results:
-                cells = []
-                for value in res.csv_row():
-                    if isinstance(value, float):
-                        cells.append("" if math.isnan(value) else f"{value:.17g}")
-                    else:
-                        cells.append(str(value))
-                fh.write(",".join(cells) + "\n")
+            fh.write(report.to_csv())
     return 0
 
 

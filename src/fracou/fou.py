@@ -159,7 +159,9 @@ def exact_second_moment(params: ModelParams, t: float) -> float:
              + (H(2H-1)/theta) int_0^t z^(2H-2) (e^(-theta z) - e^(theta(z-2t))) dz.
 
     The substitution w = z^(2H-1) removes the z^(2H-2) endpoint singularity,
-    so a plain adaptive rule sees a smooth integrand.
+    so a plain adaptive rule sees a smooth integrand.  The bracket is
+    evaluated as -e^(-theta z) expm1(-2 theta (t - z)), which keeps full
+    precision as theta t -> 0, where E[X_t^2] -> x0^2 + t^(2H).
     """
     if not (t > 0.0 and np.isfinite(t)):
         raise DomainError(f"t must be positive and finite, got {t}")
@@ -168,7 +170,7 @@ def exact_second_moment(params: ModelParams, t: float) -> float:
 
     def integrand(w):
         z = w**p
-        return np.exp(-th * z) - np.exp(th * (z - 2.0 * t))
+        return -np.exp(-th * z) * np.expm1(-2.0 * th * (t - z))
 
     val, _ = scipy.integrate.quad(
         integrand, 0.0, t ** (2.0 * h - 1.0), epsabs=0.0, epsrel=1e-10, limit=200

@@ -31,20 +31,24 @@ __all__ = ["McConfig", "SchemeResult", "McReport", "ks_to_std_normal", "run"]
 #: replications failing with a degenerate path must stay below this fraction
 MAX_DEGENERATE_FRACTION = 1e-3
 
+#: SchemeResult attribute -> (JSON key, CSV column, kept in the canonical
+#: form), in report order; the canonical form drops the wall-clock fields
+FIELDS = {
+    "n": ("n", "n", True),
+    "delta": ("delta", "delta", True),
+    "t_horizon": ("T", "T", True),
+    "mean_theta_hat": ("mean_theta_hat", "mean", True),
+    "sd_theta_hat": ("sd_theta_hat", "sd", True),
+    "bias": ("bias", "bias", True),
+    "ks_distance": ("ks_distance", "ks", True),
+    "var_ratio": ("var_ratio", "var_ratio", True),
+    "degenerate_count": ("degenerate_count", "degenerate", True),
+    "budget_total": ("budget_total", "budget_total", True),
+    "seconds": ("seconds", "seconds", False),
+}
+
 #: columns of the flat CSV summary, in documented order
-CSV_COLUMNS = (
-    "n",
-    "delta",
-    "T",
-    "mean",
-    "sd",
-    "bias",
-    "ks",
-    "var_ratio",
-    "degenerate",
-    "budget_total",
-    "seconds",
-)
+CSV_COLUMNS = tuple(column for _, column, _ in FIELDS.values())
 
 
 @dataclass
@@ -88,21 +92,6 @@ class SchemeResult:
     budget_total: float  # NaN when no (eta, dlt) was configured
     seconds: float
 
-    def csv_row(self) -> list:
-        return [
-            self.n,
-            self.delta,
-            self.t_horizon,
-            self.mean_theta_hat,
-            self.sd_theta_hat,
-            self.bias,
-            self.ks_distance,
-            self.var_ratio,
-            self.degenerate_count,
-            self.budget_total,
-            self.seconds,
-        ]
-
 
 @dataclass
 class McReport:
@@ -112,23 +101,14 @@ class McReport:
     def to_dict(self, canonical: bool = False) -> dict:
         """JSON-ready dict.  canonical=True drops wall-clock fields so that
         reports from runs with different worker counts compare byte-equal."""
-        rows = []
-        for r in self.results:
-            row = {
-                "n": r.n,
-                "delta": r.delta,
-                "T": r.t_horizon,
-                "mean_theta_hat": r.mean_theta_hat,
-                "sd_theta_hat": r.sd_theta_hat,
-                "bias": r.bias,
-                "ks_distance": r.ks_distance,
-                "var_ratio": r.var_ratio,
-                "degenerate_count": r.degenerate_count,
-                "budget_total": None if math.isnan(r.budget_total) else r.budget_total,
+        rows = [
+            {
+                key: _nan_as_none(getattr(r, attr))
+                for attr, (key, _, stable) in FIELDS.items()
+                if stable or not canonical
             }
-            if not canonical:
-                row["seconds"] = r.seconds
-            rows.append(row)
+            for r in self.results
+        ]
         return {
             "theta": self.config.params.theta,
             "hurst": self.config.params.hurst,
@@ -140,6 +120,25 @@ class McReport:
             "budget_note": "rate-only: the theorem constant c is unknown and reported as 1",
             "schemes": rows,
         }
+
+    def to_csv(self) -> str:
+        """Flat CSV summary: a CSV_COLUMNS header, then the `to_dict` rows in
+        table order, floats as %.17g and null as an empty cell."""
+        lines = [",".join(CSV_COLUMNS)]
+        for row in self.to_dict()["schemes"]:
+            lines.append(",".join(_csv_cell(value) for value in row.values()))
+        return "\n".join(lines) + "\n"
+
+
+def _nan_as_none(value):
+    """The one missing-value rule: NaN is JSON null and an empty CSV cell."""
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 def ks_to_std_normal(sample) -> float:

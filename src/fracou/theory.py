@@ -241,6 +241,22 @@ def constants(
     )
 
 
+def _budget_terms(
+    n: int, delta: float, hurst: float, eta: float, dlt: float
+) -> BoundBudget:
+    """The seven summands at (eta, dlt), unchecked; both budgets evaluate these."""
+    nd = n * delta
+    return BoundBudget(
+        t1=1.0 / (eta * math.sqrt(nd)),
+        t2=math.sqrt(n) * delta ** (2.0 * hurst - 0.5) / eta,
+        t3=nd ** (4.0 * hurst - 3.0),
+        t4=eta,
+        t5=delta**hurst / dlt,
+        t6=1.0 / (nd * dlt**2),
+        t7=dlt,
+    )
+
+
 def bound_budget(
     scheme: SamplingScheme, params: ModelParams, eta: float, dlt: float
 ) -> BoundBudget:
@@ -254,17 +270,7 @@ def bound_budget(
         raise DomainError(f"eta must lie in (0, 1), got {eta}")
     if not (0.0 < dlt < 1.0):
         raise DomainError(f"dlt must lie in (0, 1), got {dlt}")
-    n, delta, h = scheme.n, scheme.delta, params.hurst
-    nd = n * delta
-    return BoundBudget(
-        t1=1.0 / (eta * math.sqrt(nd)),
-        t2=math.sqrt(n) * delta ** (2.0 * h - 0.5) / eta,
-        t3=nd ** (4.0 * h - 3.0),
-        t4=eta,
-        t5=delta**h / dlt,
-        t6=1.0 / (nd * dlt**2),
-        t7=dlt,
-    )
+    return _budget_terms(scheme.n, scheme.delta, params.hurst, eta, dlt)
 
 
 def specialized_budget(
@@ -290,15 +296,7 @@ def specialized_budget(
             stacklevel=2,
         )
     n, delta = scheme.n, scheme.delta
-    return BoundBudget(
-        t1=1.0 / (n * delta ** ((1.0 + beta) / 2.0)),
-        t2=math.sqrt(delta ** (4.0 * h - 1.0 - beta)),
-        t3=(n * delta) ** (4.0 * h - 3.0),
-        t4=math.sqrt(n * delta**beta),
-        t5=delta ** (h - alpha),
-        t6=1.0 / (n * delta ** (1.0 + 2.0 * alpha)),
-        t7=delta**alpha,
-    )
+    return _budget_terms(n, delta, h, math.sqrt(n * delta**beta), delta**alpha)
 
 
 def gamma_window(hurst: float) -> tuple[float, float]:
@@ -307,23 +305,14 @@ def gamma_window(hurst: float) -> tuple[float, float]:
     return 1.0 / (4.0 * hurst - 1.0), 1.0 / (2.0 * hurst)
 
 
-def check_design(hurst, gamma, eta, dlt, flags: bool = False) -> None:
+def check_design(hurst, gamma, eta, dlt) -> None:
     """Reject a mesh exponent gamma outside `gamma_window(hurst)` and an
-    (eta, dlt) budget pair given only in part (ConfigError).
-
-    `flags=True` words the messages for the `fracou theory` command line.
-    """
+    (eta, dlt) budget pair given only in part (ConfigError)."""
     if gamma is not None:
         lo, hi = gamma_window(hurst)
         if not (lo < gamma < hi):
             raise ConfigError(
-                f"--gamma {gamma} outside the admissible interval ({lo:.6g}, {hi:.6g})"
-                if flags
-                else f"gamma={gamma} outside the admissible window ({lo}, {hi})"
+                f"gamma {gamma} outside the admissible interval ({lo:.6g}, {hi:.6g})"
             )
     if (eta is None) != (dlt is None):
-        raise ConfigError(
-            "--eta and --dlt must be given together"
-            if flags
-            else "eta and dlt must be given together"
-        )
+        raise ConfigError("eta and dlt must be given together")

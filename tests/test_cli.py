@@ -172,6 +172,7 @@ def test_theory_gamma_outside_window_exits_2(capsys):
 
 
 def _mc_config(tmp_path, **overrides):
+    """Write a small valid mc config; an override of None removes the key."""
     doc = {
         "theta": 1.0,
         "hurst": 0.6,
@@ -181,6 +182,7 @@ def _mc_config(tmp_path, **overrides):
         "schedule": [{"n": 16, "delta": 0.25}],
     }
     doc.update(overrides)
+    doc = {key: value for key, value in doc.items() if value is not None}
     cfg = tmp_path / "mc.json"
     cfg.write_text(json.dumps(doc))
     return cfg
@@ -226,6 +228,23 @@ def test_mc_missing_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "mc.json"
     cfg.write_text(json.dumps(doc))
     assert run_cli(["mc", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"schedule": [16]},  # entry is not an object
+        {"schedule": [{"n": 16}]},  # entry without delta
+        {"replications": "100"},
+        {"schedule": None, "n_list": [16], "gamma": "0.6"},
+        {"schedule": [{"n": 16.5, "delta": 0.25}]},
+        {"theta": True},  # a bool is not a number
+    ],
+)
+def test_mc_malformed_config_exits_2(tmp_path, capsys, overrides):
+    cfg = _mc_config(tmp_path, **overrides)
+    assert run_cli(["mc", str(cfg), "--threads", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_mc_empty_schedule_exits_2(tmp_path, capsys):

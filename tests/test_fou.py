@@ -145,6 +145,16 @@ def test_exact_second_moment_stationary_limit():
     assert exact_second_moment(PARAMS, 60.0) == pytest.approx(expect, rel=1e-8)
 
 
+@pytest.mark.parametrize("hurst", [0.51, 0.55, 0.7])
+@pytest.mark.parametrize("theta", [1e-12, 1e-9])
+def test_exact_second_moment_small_theta(theta, hurst):
+    # theta t -> 0: X_t -> B_t, whose variance is t^(2H); the relative drift
+    # correction is O(theta t) <= 1e-10 here
+    t = 0.1
+    got = exact_second_moment(ModelParams(theta=theta, hurst=hurst), t)
+    assert got == pytest.approx(t ** (2.0 * hurst), rel=1e-9)
+
+
 def test_simulated_second_moment_matches_quadrature():
     # E[X_T^2] from 4000 simulated paths vs exact_second_moment, 3.5 sigma
     scheme = SamplingScheme(n=50, delta=0.1, oversample=4)

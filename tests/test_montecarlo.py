@@ -146,10 +146,29 @@ def test_canonical_dict_drops_seconds_only():
     assert full == canon
 
 
-def test_csv_row_matches_columns():
-    report = montecarlo.run(_config(), threads=1)
-    row = report.results[0].csv_row()
-    assert len(row) == len(montecarlo.CSV_COLUMNS)
+@pytest.mark.parametrize(
+    "budget", [{}, {"eta": 0.1, "dlt": 0.1}], ids=["no_budget", "budget"]
+)
+def test_csv_rows_match_json_rows(budget):
+    scheme = SamplingScheme(n=16, delta=0.25, oversample=2)
+    report = montecarlo.run(_config(schedule=[scheme, scheme], **budget), threads=1)
+    header, *lines = report.to_csv().splitlines()
+    assert header.split(",") == list(montecarlo.CSV_COLUMNS)
+    json_rows = report.to_dict()["schemes"]
+    assert len(lines) == len(json_rows) == 2
+    keys = [key for key, _, _ in montecarlo.FIELDS.values()]
+    for line, row in zip(lines, json_rows):
+        assert list(row) == keys
+        cells = line.split(",")
+        assert len(cells) == len(keys)
+        for cell, value in zip(cells, row.values()):
+            if value is None:  # NaN <-> null <-> empty cell
+                assert cell == ""
+            else:
+                assert cell and float(cell) == value
+                assert isinstance(value, float) or cell == str(value)
+    budget_cell = lines[0].split(",")[montecarlo.CSV_COLUMNS.index("budget_total")]
+    assert (budget_cell == "") == (not budget)
 
 
 def test_streams_disjoint_across_schemes():
