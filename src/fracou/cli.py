@@ -10,7 +10,7 @@ import json
 import sys
 
 from . import fou, lse, montecarlo, theory
-from .errors import FracouError, ConfigError, DomainError
+from .errors import DomainError
 from .fbm import RngSeed
 from .fou import ModelParams, SamplingScheme
 
@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     theo = sub.add_parser("theory", help="closed-form constants and bound budget")
     _add_model_flags(theo)
-    theo.add_argument("--ef2", choices=["asymptotic", "quadrature"], default="asymptotic")
+    theo.add_argument("--ef2", choices=theory.EF2_MODES, default="asymptotic")
     theo.add_argument("--eta", type=float)
     theo.add_argument("--dlt", type=float)
     theo.set_defaults(func=cmd_theory)
@@ -128,7 +128,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_theory(args) -> int:
     params = ModelParams(theta=args.theta, hurst=args.hurst)
-    theory.check_design(params.hurst, args.gamma, args.eta, args.dlt)
+    theory.check_design(params.hurst, args.gamma, args.eta, args.dlt, args.ef2)
     scheme = _scheme_from_args(args)
     consts = theory.constants(params, scheme, ef2_mode=args.ef2)
     if args.eta is not None:
@@ -144,7 +144,7 @@ def cmd_theory(args) -> int:
 
 def _check_type(what: str, value, kind: str) -> None:
     if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
-        raise ConfigError(f"{what} must be {kind}, got {json.dumps(value)}")
+        raise DomainError(f"{what} must be {kind}, got {json.dumps(value)}")
 
 
 def _load_mc_config(path: str):
@@ -154,10 +154,10 @@ def _load_mc_config(path: str):
     doc = {key: value for key, value in doc.items() if value is not None}
     unknown = set(doc) - set(_MC_KEYS)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise DomainError(f"unknown config keys: {sorted(unknown)}")
     missing = {key for key, (_, required) in _MC_KEYS.items() if required} - set(doc)
     if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
+        raise DomainError(f"missing config keys: {sorted(missing)}")
     for key, value in doc.items():
         _check_type(f"config key {key!r}", value, _MC_KEYS[key][0])
     params = ModelParams(
@@ -172,28 +172,23 @@ def _load_mc_config(path: str):
     gamma = doc.get("gamma")
     if "schedule" in doc:
         if gamma is not None or "n_list" in doc:
-            raise ConfigError("give either 'schedule' or ('n_list' and 'gamma'), not both")
-        entries = doc["schedule"]
-        if not entries:
-            raise ConfigError("'schedule' must be a nonempty list of {n, delta}")
+            raise DomainError("give either 'schedule' or ('n_list' and 'gamma'), not both")
         schedule = []
-        for entry in entries:
+        for entry in doc["schedule"]:
             _check_type("a schedule entry", entry, "an object")
             extra = set(entry) - set(_SCHEDULE_KEYS)
             if extra:
-                raise ConfigError(f"unknown schedule keys: {sorted(extra)}")
+                raise DomainError(f"unknown schedule keys: {sorted(extra)}")
             for key, kind in _SCHEDULE_KEYS.items():
                 what = f"{key!r} of schedule entry {json.dumps(entry)}"
                 _check_type(what, entry.get(key), kind)
             schedule.append(SamplingScheme(n=entry["n"], delta=entry["delta"]))
     elif "n_list" in doc and gamma is not None:
-        if not doc["n_list"]:
-            raise ConfigError("'n_list' must be nonempty")
         for n in doc["n_list"]:
             _check_type("an 'n_list' entry", n, "an integer")
         schedule = [SamplingScheme.from_gamma(n, gamma) for n in doc["n_list"]]
     else:
-        raise ConfigError("config needs 'schedule' or both 'n_list' and 'gamma'")
+        raise DomainError("config needs 'schedule' or both 'n_list' and 'gamma'")
     config = montecarlo.McConfig(
         params=params,
         schedule=schedule,
@@ -230,13 +225,10 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except (ConfigError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FracouError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # pragma: no cover - unexpected runtime failure
+    except Exception as exc:  # any other FracouError or unexpected failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: invalid input raises DomainError
+(CLI exit 2); any other FracouError is a runtime failure (CLI exit 1)."""
 
 
 class FracouError(Exception):
@@ -6,11 +7,11 @@ class FracouError(Exception):
 
 
 class DomainError(FracouError, ValueError):
-    """An argument is outside the mathematical domain of an operation."""
+    """Invalid input: outside an operation's domain, or breaking a run config's rule."""
 
 
-class SizeError(FracouError, ValueError):
-    """A size/memory guard was violated."""
+class SizeError(DomainError):
+    """An input exceeds a size/memory guard."""
 
 
 class DegeneratePathError(FracouError, ValueError):
@@ -21,13 +22,12 @@ class ConsistencyError(FracouError, ValueError):
     """Two objects that must share (theta, H, n, delta) do not."""
 
 
-class ConfigError(FracouError, ValueError):
-    """A run configuration is invalid."""
-
-
 class DataQualityError(FracouError, RuntimeError):
     """A Monte Carlo run produced too many degenerate replications."""
 
 
 class ReplicationError(FracouError, RuntimeError):
     """A Monte Carlo replication failed; the message names its scheme and stream."""
+
+
+ConfigError = DomainError  # kept for importers: a config breaks rules as any input does

@@ -82,10 +82,16 @@ class FbmGrid:
 
 @dataclass
 class RngSeed:
-    """(seed, stream) pair; distinct pairs give independent Philox streams."""
+    """(seed, stream) pair in [0, 2^63), the range numpy keeps exact in a Philox key
+    (it rounds larger ints through float64); distinct pairs give independent streams."""
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self):
+        for value in (self.seed, self.stream):
+            if not (isinstance(value, (int, np.integer)) and 0 <= value < 2**63):
+                raise DomainError(f"seed and stream must be integers in [0, 2^63): {self}")
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))

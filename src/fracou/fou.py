@@ -36,6 +36,7 @@ __all__ = [
     "ModelParams",
     "SamplingScheme",
     "ObservedPath",
+    "check_steps",
     "simulate_path",
     "exact_second_moment",
     "write_path_csv",
@@ -109,6 +110,12 @@ class ObservedPath:
     meta: dict = field(default_factory=dict)
 
 
+def check_steps(n: int) -> None:
+    """The size guard on one path: at most MAX_STEPS observation steps (SizeError)."""
+    if n > MAX_STEPS:
+        raise SizeError(f"n = {n} exceeds guard {MAX_STEPS}")
+
+
 def simulate_path(
     params: ModelParams,
     scheme: SamplingScheme,
@@ -122,8 +129,7 @@ def simulate_path(
     (n * oversample increments) and replaces the exact draw.
     """
     n = scheme.n
-    if n > MAX_STEPS:
-        raise SizeError(f"n = {n} exceeds guard {MAX_STEPS}")
+    check_steps(n)
     if increments is None:
         grid = FbmGrid(step=scheme.delta, count=n, hurst=params.hurst, theta=params.theta)
         incs = sample_circulant(grid, seed)
@@ -183,11 +189,9 @@ def write_path_csv(path: ObservedPath, dest) -> None:
     own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
     fh = open(dest, "w", newline="") if own else dest
     try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "t", "x"])
+        fh.write("i,t,x\n")
         delta = path.scheme.delta
-        for i, xi in enumerate(path.x):
-            writer.writerow([i, f"{i * delta:.17g}", f"{xi:.17g}"])
+        fh.writelines(f"{i},{i * delta:.17g},{xi:.17g}\n" for i, xi in enumerate(path.x))
     finally:
         if own:
             fh.close()

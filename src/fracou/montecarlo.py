@@ -15,15 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lse, theory
-from .errors import (
-    ConfigError,
-    DataQualityError,
-    DegeneratePathError,
-    DomainError,
-    ReplicationError,
-)
+from .errors import DataQualityError, DegeneratePathError, DomainError, ReplicationError
 from .fbm import RngSeed
-from .fou import ModelParams, SamplingScheme, simulate_path
+from .fou import ModelParams, SamplingScheme, check_steps, simulate_path
 from .specialfn import std_normal_cdf
 
 __all__ = ["McConfig", "SchemeResult", "McReport", "ks_to_std_normal", "run"]
@@ -64,18 +58,17 @@ class McConfig:
 
     def __post_init__(self):
         if self.replications < 100:
-            raise ConfigError(f"replications must be >= 100, got {self.replications}")
+            raise DomainError(f"replications must be >= 100, got {self.replications}")
         if not self.schedule:
-            raise ConfigError("schedule must not be empty")
+            raise DomainError("schedule must not be empty")
         for scheme in self.schedule:
             if not isinstance(scheme, SamplingScheme):
-                raise ConfigError(f"schedule entries must be SamplingScheme, got {scheme!r}")
-        if not (0.5 < self.params.hurst < 0.75):
-            raise ConfigError(
-                "Monte Carlo studentization requires H in (1/2, 3/4); "
-                f"got {self.params.hurst}"
-            )
-        theory.check_design(self.params.hurst, self.gamma, self.eta, self.dlt)
+                raise DomainError(f"schedule entries must be SamplingScheme, got {scheme!r}")
+            check_steps(scheme.n)
+        theory.check_design(self.params.hurst, self.gamma, self.eta, self.dlt, self.ef2_mode)
+        # the last replication's stream must be a Philox key too
+        last = self.base_seed.stream + len(self.schedule) * self.replications - 1
+        RngSeed(self.base_seed.seed, last)
 
 
 @dataclass
@@ -177,13 +170,14 @@ def _default_threads() -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise ConfigError(f"FOU_THREADS must be an integer, got {env!r}") from exc
+            raise DomainError(f"FOU_THREADS must be an integer, got {env!r}") from exc
     return 1
 
 
 def run(config: McConfig, threads: int | None = None) -> McReport:
     """Run the full Monte Carlo study described by `config`.
 
+    Every scheme's constants and budget come first, so they fail before a draw.
     Replication r of scheme k uses stream base + k * N + r; statistics are
     computed from the stream-ordered estimate array, so the report does not
     depend on `threads`.
@@ -191,9 +185,15 @@ def run(config: McConfig, threads: int | None = None) -> McReport:
     if threads is None:
         threads = _default_threads()
     if threads < 1:
-        raise ConfigError(f"worker count must be >= 1, got {threads}")
+        raise DomainError(f"worker count must be >= 1, got {threads}")
     n_rep = config.replications
     params = config.params
+    consts = [theory.constants(params, s, config.ef2_mode) for s in config.schedule]
+    budgets = [
+        theory.bound_budget(s, params, config.eta, config.dlt).total
+        if config.eta is not None else math.nan
+        for s in config.schedule
+    ]
     report = McReport(config=config)
     pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
@@ -216,16 +216,9 @@ def run(config: McConfig, threads: int | None = None) -> McReport:
                     f"{degenerate}/{n_rep} degenerate replications at n={scheme.n}"
                 )
             valid = theta_hats[~np.isnan(theta_hats)]
-            consts = theory.constants(params, scheme, config.ef2_mode)
             t_n = scheme.horizon
             root_t_err = math.sqrt(t_n) * (valid - params.theta)
-            student = consts.lambda_n * root_t_err
-            if config.eta is not None:
-                budget_total = theory.bound_budget(
-                    scheme, params, config.eta, config.dlt
-                ).total
-            else:
-                budget_total = math.nan
+            student = consts[k].lambda_n * root_t_err
             report.results.append(
                 SchemeResult(
                     n=scheme.n,
@@ -235,9 +228,9 @@ def run(config: McConfig, threads: int | None = None) -> McReport:
                     sd_theta_hat=float(np.std(valid, ddof=1)),
                     bias=float(np.mean(valid) - params.theta),
                     ks_distance=ks_to_std_normal(student),
-                    var_ratio=float(np.var(root_t_err, ddof=1) / consts.sigma_h2),
+                    var_ratio=float(np.var(root_t_err, ddof=1) / consts[k].sigma_h2),
                     degenerate_count=degenerate,
-                    budget_total=budget_total,
+                    budget_total=budgets[k],
                     seconds=time.perf_counter() - t0,
                 )
             )

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from .errors import ConfigError, DomainError, SizeError
+from .errors import DomainError, SizeError
 from .fou import ModelParams, SamplingScheme
 from .specialfn import gamma, lower_incomplete_gamma
 
@@ -33,10 +33,14 @@ __all__ = [
     "specialized_budget",
     "gamma_window",
     "check_design",
+    "EF2_MODES",
 ]
 
 #: cost guard for the 4-D variance quadrature
 EF2_MAX_HORIZON = 50.0
+
+#: sources of E(F_T^2) in lambda_n: the limit A(theta, H) or the finite-T quadrature
+EF2_MODES = ("asymptotic", "quadrature")
 
 
 def _require_clt_range(hurst: float, what: str) -> None:
@@ -219,8 +223,7 @@ def constants(
     "asymptotic" uses the limit A(theta, H) (the default; this is how the
     CLT is normalized), "quadrature" evaluates the finite-T integral.
     """
-    if ef2_mode not in ("asymptotic", "quadrature"):
-        raise DomainError(f"ef2_mode must be 'asymptotic' or 'quadrature', got {ef2_mode}")
+    check_design(params.hurst, ef2_mode=ef2_mode)
     a_val = a_theta_h(params)
     t_n = scheme.horizon
     ef2 = a_val if ef2_mode == "asymptotic" else ef2_quadrature(params, t_n)
@@ -265,11 +268,7 @@ def bound_budget(
     Only the decay rates are meaningful: the constant c of the theorem is
     unknown, so budgets are reported with c = 1.
     """
-    _require_clt_range(params.hurst, "bound_budget")
-    if not (0.0 < eta < 1.0):
-        raise DomainError(f"eta must lie in (0, 1), got {eta}")
-    if not (0.0 < dlt < 1.0):
-        raise DomainError(f"dlt must lie in (0, 1), got {dlt}")
+    check_design(params.hurst, eta=eta, dlt=dlt)
     return _budget_terms(scheme.n, scheme.delta, params.hurst, eta, dlt)
 
 
@@ -305,14 +304,20 @@ def gamma_window(hurst: float) -> tuple[float, float]:
     return 1.0 / (4.0 * hurst - 1.0), 1.0 / (2.0 * hurst)
 
 
-def check_design(hurst, gamma, eta, dlt) -> None:
-    """Reject a mesh exponent gamma outside `gamma_window(hurst)` and an
-    (eta, dlt) budget pair given only in part (ConfigError)."""
+def check_design(hurst, gamma=None, eta=None, dlt=None, ef2_mode="asymptotic") -> None:
+    """Every design rule, stated once (DomainError): H in the CLT range, ef2_mode in
+    EF2_MODES, gamma inside `gamma_window(hurst)`, eta and dlt in (0, 1) and paired."""
+    _require_clt_range(hurst, "the CLT design")
+    if ef2_mode not in EF2_MODES:
+        raise DomainError(f"ef2_mode must be one of {EF2_MODES}, got {ef2_mode!r}")
     if gamma is not None:
         lo, hi = gamma_window(hurst)
         if not (lo < gamma < hi):
-            raise ConfigError(
+            raise DomainError(
                 f"gamma {gamma} outside the admissible interval ({lo:.6g}, {hi:.6g})"
             )
     if (eta is None) != (dlt is None):
-        raise ConfigError("eta and dlt must be given together")
+        raise DomainError("eta and dlt must be given together")
+    for name, value in (("eta", eta), ("dlt", dlt)):
+        if value is not None and not (0.0 < value < 1.0):
+            raise DomainError(f"{name} must lie in (0, 1), got {value}")

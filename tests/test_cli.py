@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from fracou import lse
+from fracou import lse, montecarlo
 from fracou.cli import main
 from fracou.fou import read_path_csv
 
@@ -68,6 +68,14 @@ def test_simulate_invalid_theta_exits_2(capsys):
     args = list(SIM_ARGS)
     args[args.index("1.0")] = "-1.0"
     assert run_cli(args + ["--out", "-"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--stream"])
+def test_simulate_negative_seed_exits_2(capsys, flag):
+    args = list(SIM_ARGS)
+    args[args.index(flag) + 1] = "-1"
+    assert run_cli(args + ["--out", "-"]) == 2
+    assert "[0, 2^63)" in capsys.readouterr().err
 
 
 def test_estimate_roundtrip(tmp_path, capsys):
@@ -245,6 +253,27 @@ def test_mc_malformed_config_exits_2(tmp_path, capsys, overrides):
     cfg = _mc_config(tmp_path, **overrides)
     assert run_cli(["mc", str(cfg), "--threads", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"ef2_mode": "foo"},
+        {"eta": 1.5, "dlt": 0.1},
+        {"eta": 0.1, "dlt": 0},
+        {"ef2_mode": "quadrature", "schedule": [{"n": 16, "delta": 6.25}]},  # T = 100
+        {"schedule": [{"n": 16, "delta": 0.25}, {"n": 2**24, "delta": 0.25}]},
+        {"seed": -1},
+    ],
+)
+def test_mc_invalid_config_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, overrides):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a replication was drawn")
+
+    monkeypatch.setattr(montecarlo, "simulate_path", no_draw)
+    cfg = _mc_config(tmp_path, **overrides)
+    assert run_cli(["mc", str(cfg), "--threads", "1"]) == 2
+    assert "replication failed" not in capsys.readouterr().err
 
 
 def test_mc_empty_schedule_exits_2(tmp_path, capsys):

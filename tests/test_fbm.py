@@ -245,6 +245,20 @@ def test_circulant_determinism_and_stream_independence():
     assert not np.array_equal(a, d)
 
 
+@pytest.mark.parametrize("value", [-1, 2**63, 2**64 - 1, 3.0])
+def test_rng_seed_rejects_keys_outside_philox_range(value):
+    # numpy rounds key ints >= 2^63 through float64 (2^64 - 1 became key 0)
+    with pytest.raises(DomainError):
+        RngSeed(value)
+    with pytest.raises(DomainError):
+        RngSeed(0, value)
+
+
+def test_rng_seed_largest_key_is_exact():
+    gen = RngSeed(2**63 - 1, 2**63 - 2).generator()
+    assert gen.bit_generator.state["state"]["key"].tolist() == [2**63 - 1, 2**63 - 2]
+
+
 def test_cholesky_determinism():
     grid = FbmGrid(step=0.1, count=64, hurst=0.7)
     a = sample_cholesky(grid, RngSeed(7, 0)).values

@@ -82,6 +82,14 @@ def test_config_validation():
         _config(eta=0.1)  # dlt missing
 
 
+def test_config_last_stream_must_be_a_philox_key():
+    _config(base_seed=RngSeed(5, 2**63 - 100))  # last of 100 streams is 2^63 - 1
+    with pytest.raises(DomainError):
+        _config(base_seed=RngSeed(5, 2**63 - 99))
+    with pytest.raises(DomainError):
+        _config(base_seed=RngSeed(5, 2**63 - 150), schedule=[SamplingScheme(16, 0.25)] * 2)
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_run_rejects_nonpositive_worker_count(threads, monkeypatch):
     with pytest.raises(ConfigError):
