@@ -120,6 +120,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    """Print the LSE of a path CSV as JSON.  For a path whose estimator sums
+    leave the float range, numerator and denominator are the sums of the
+    power-of-two rescaled path (see `lse.estimate_series`): always finite."""
     x, delta = fou.read_path_csv(args.infile)
     result = lse.estimate_series(x, delta)
     print(json.dumps(dataclasses.asdict(result), sort_keys=True))

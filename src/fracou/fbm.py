@@ -34,6 +34,7 @@ import scipy.integrate
 import scipy.linalg
 
 from .errors import DomainError, SizeError
+from .specialfn import lower_incomplete_gamma
 
 __all__ = [
     "FbmGrid",
@@ -50,6 +51,9 @@ NEG_EIG_RTOL = 1e-9
 
 #: O(m^2) memory guard for the dense Cholesky sampler
 CHOLESKY_MAX_COUNT = 4096
+
+#: theta * step up to which the singular lag-0 and lag-1 terms use adaptive quadrature
+_QUAD_MAX_C = 100.0
 
 #: 16-point Gauss-Legendre rule mapped to [0, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -143,7 +147,8 @@ def _weighted_autocov(step, hurst, theta, k):
     # <= 12.5/c over [0, min(1, 45/c)] (beyond that w < e^-45 w(0)), i.e. one
     # panel on [0, 1] for c <= 12.5.  The s^p term of lag 0 and the (1-s)^p
     # term of lag 1 are integrable endpoint singularities, which the
-    # algebraic-weight rule of quad absorbs.
+    # algebraic-weight rule of quad absorbs up to c = 100; beyond it lag 0 is
+    # an incomplete gamma function and lag 1 needs no special term.
     c = theta * step
     p = 2.0 * hurst - 2.0
 
@@ -166,8 +171,15 @@ def _weighted_autocov(step, hurst, theta, k):
             plus += wt * (k + s) ** p
             minus += wt * np.abs(k - s) ** p
     if np.any(k == 0.0):
-        plus[k == 0.0] = minus[k == 0.0] = singular(p, 0.0)
-    if np.any(k == 1.0):
+        # int_0^1 s^p e^(-c s) ds = c^(-p-1) gamma(p+1, c); the e^(-c(2-s)) part
+        # is below e^-100 of it, and quad would miss the peak of width 1/c
+        if c > _QUAD_MAX_C:
+            lag0 = c ** (-p - 1.0) * lower_incomplete_gamma(p + 1.0, c)
+        else:
+            lag0 = singular(p, 0.0)
+        plus[k == 0.0] = minus[k == 0.0] = lag0
+    if np.any(k == 1.0) and c <= _QUAD_MAX_C:
+        # for larger c the panels end at 45/c < 1, short of the (1-s)^p singularity
         minus[k == 1.0] = singular(0.0, p)
     return hurst * (2.0 * hurst - 1.0) * step ** (2.0 * hurst - 1.0) / (2.0 * theta) * (
         plus + minus

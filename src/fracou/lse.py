@@ -10,6 +10,9 @@ from .fou import ModelParams, ObservedPath
 
 __all__ = ["EstimateResult", "estimate", "estimate_series", "studentize"]
 
+#: smallest normal float64; a lagged sum of squares below it has lost digits
+_TINY = float(np.finfo(float).tiny)
+
 
 @dataclass
 class EstimateResult:
@@ -28,6 +31,12 @@ def estimate_series(x, delta: float) -> EstimateResult:
     Both sums are dot products of nonnegative terms via the telescoping identity
     -sum x_{i-1}(x_i - x_{i-1}) = 1/2 sum (x_i - x_{i-1})^2 - (x_n^2 - x_0^2)/2;
     tested against exactly rounded math.fsum sums to 1e-13 relative, n <= 1e5.
+
+    theta_hat does not change when x is scaled.  When a plain sum overflows,
+    or sum x_{i-1}^2 falls below the normal float range, both sums are taken
+    on x 2^-k with max|x 2^-k| in [1/2, 1) instead (exact, a power of two), and
+    `numerator` and `denominator` are those scaled sums: finite, with ratio
+    theta_hat.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 3:
@@ -36,9 +45,10 @@ def estimate_series(x, delta: float) -> EstimateResult:
         raise DomainError("path contains non-finite values")
     if not (delta > 0.0 and np.isfinite(delta)):
         raise DomainError(f"delta must be positive, got {delta}")
-    dx, prev = np.diff(x), x[:-1]
-    num = float(0.5 * np.dot(dx, dx) - 0.5 * (x[-1] ** 2 - x[0] ** 2))
-    den = delta * float(np.dot(prev, prev))
+    num, sxx = _lse_sums(x)
+    if not (math.isfinite(num) and _TINY <= sxx < math.inf):
+        num, sxx = _lse_sums(np.ldexp(x, -math.frexp(np.abs(x).max())[1]))
+    den = delta * sxx
     if den <= 0.0:
         raise DegeneratePathError("sum of squared lagged observations is zero")
     return EstimateResult(
@@ -48,6 +58,21 @@ def estimate_series(x, delta: float) -> EstimateResult:
         n=x.size - 1,
         delta=delta,
     )
+
+
+def _lse_sums(x):
+    """(-sum x_{i-1}(x_i - x_{i-1}), sum x_{i-1}^2), infinite or NaN on overflow.
+
+    vdot runs the same BLAS sum as dot but raises no numpy overflow warning;
+    np.diff is skipped once the second sum overflows, since it could too.
+    """
+    prev = x[:-1]
+    sxx = float(np.vdot(prev, prev))
+    if sxx == math.inf:
+        return math.nan, sxx
+    dx = np.diff(x)
+    last, first = float(x[-1]), float(x[0])
+    return 0.5 * float(np.vdot(dx, dx)) - 0.5 * (last * last - first * first), sxx
 
 
 def estimate(path: ObservedPath) -> EstimateResult:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+from scipy.linalg.blas import daxpy, ddot
 
 from .errors import DomainError, SizeError
 from .fou import ModelParams, SamplingScheme
@@ -36,7 +37,8 @@ __all__ = [
     "EF2_MODES",
 ]
 
-#: cost guard for the 4-D variance quadrature
+#: size guard for the 4-D variance quadrature: at T = 50 its two meshes have 1200
+#: and 2400 cells, about 20 ms and 0.3 MB per call (O(cells^2) time, O(cells) memory)
 EF2_MAX_HORIZON = 50.0
 
 #: sources of E(F_T^2) in lambda_n: the limit A(theta, H) or the finite-T quadrature
@@ -163,37 +165,81 @@ def lambda_limit(params: ModelParams) -> float:
     return alpha_limit_rate(params) / (params.theta * math.sqrt(a_theta_h(params)))
 
 
+#: Taylor coefficients 2/(m+2)! of e0(x) = 2(x - 1 + e^-x)/x^2 = sum_m 2(-x)^m/(m+2)!;
+#: at x < 1/2 the first term left out is below 2e-19
+_E0_SERIES = [2.0 / math.factorial(m + 2) for m in range(15)]
+
+
+def _exp_cell_weights(x: float) -> tuple[float, float]:
+    """Cell-pair means of e^(-|t-s|) over two cells of width x (times in units
+    of 1/theta): e0 for a cell with itself, and g = ((1 - e^-x)/x)^2 for
+    adjacent cells; cells k >= 1 apart weigh g e^(-x(k-1)).
+
+    x + expm1(-x) cancels to x^2/2 as x -> 0, so e0 takes its Taylor series
+    below x = 1/2; g through expm1 loses no digits and cannot overflow.  Both
+    tend to 1 as x -> 0 (x = theta h underflows to 0 for theta near 5e-324).
+    """
+    if x < 0.5:
+        e0 = np.polynomial.polynomial.polyval(-x, _E0_SERIES)
+    else:
+        e0 = 2.0 * (x + math.expm1(-x)) / (x * x)
+    return float(e0), (math.expm1(-x) / x) ** 2 if x > 0.0 else 1.0
+
+
+def _trace_toeplitz_product_square(e: np.ndarray, w: np.ndarray) -> float:
+    """trace((E W)^2) for the symmetric Toeplitz E, W with first columns e, w,
+    in O(N^2) time and O(N) memory; no N x N array is formed.
+
+    C = E W has displacement rank 2 (Kailath & Sayed 1995):
+    C[i, k] = C[i-1, k-1] + e_i w_k - e_{N-i} w_{N-k}, and C^T = W E obeys the
+    same identity with e and w swapped.  Seeded with C[:, 0] = E w and
+    C[0, :] = W e, the loop carries row i of C and of C^T by diagonal
+    d = i - k <= i, so trace = sum C[i, k] C[k, i] = 2 sum_{k<=i} - sum_i C[i, i]^2.
+    """
+    n = e.size
+    col = scipy.linalg.matmul_toeplitz(e, w)
+    row = scipy.linalg.matmul_toeplitz(w, e)
+    e_rev, w_rev = e[::-1].copy(), w[::-1].copy()
+    c, ct = np.zeros(n), np.zeros(n)  # c[d] = C[i, i-d], ct[d] = C[i-d, i]
+    c[0], ct[0] = col[0], row[0]
+    lower = diag = col[0] * row[0]
+    for i in range(1, n):
+        # d < i: add e_i w_{i-d} (w_rev from offset n-1-i) - e_{n-i} w_{n-i+d}
+        c = daxpy(w_rev, c, i, e[i], n - 1 - i)
+        c = daxpy(w, c, i, -e[n - i], n - i)
+        ct = daxpy(e_rev, ct, i, w[i], n - 1 - i)
+        ct = daxpy(e, ct, i, -w[n - i], n - i)
+        c[i], ct[i] = col[i], row[i]
+        lower += ddot(c, ct, i + 1)
+        diag += c[0] * c[0]
+    return float(2.0 * lower - diag)
+
+
 def _ef2_fixed_mesh(theta: float, hurst: float, horizon: float, cells: int) -> float:
     """Trace-form product quadrature of the 4-D variance integral.
 
     Both kernel factors are replaced by exact cell-pair integrals on a
     uniform mesh: the singular factor |u-v|^(2H-2) via the second
-    antiderivative |u|^(2H)/(2H(2H-1)), the exponential factor analytically.
-    The integral then collapses to trace(E W E W) with Toeplitz E, W.
+    antiderivative |u|^(2H)/(2H(2H-1)), the exponential factor analytically
+    (`_exp_cell_weights`, accurate as theta h -> 0).  The integral then
+    collapses to trace(E W E W) with Toeplitz E, W, which the displacement
+    recursion of `_trace_toeplitz_product_square` evaluates in O(cells^2)
+    time and O(cells) memory.
     """
     h = horizon / cells
     d = np.arange(cells)
-    th = theta
     # cell-averaged e^(-theta|t-s|), Toeplitz in |i-j|
+    e0, g = _exp_cell_weights(theta * h)
     ecol = np.empty(cells)
-    ecol[0] = 2.0 * (h / th - (1.0 - np.exp(-th * h)) / th**2) / h**2
-    if cells > 1:
-        ecol[1:] = (
-            np.exp(-th * d[1:] * h)
-            * (1.0 - np.exp(-th * h))
-            * (np.exp(th * h) - 1.0)
-            / (th**2 * h**2)
-        )
+    ecol[0] = e0
+    ecol[1:] = g * np.exp(-theta * h * d[:-1])
     two_h = 2.0 * hurst
 
     def psi(u):
         return np.abs(u) ** two_h / (two_h * (two_h - 1.0))
 
     wcol = psi((d + 1) * h) - 2.0 * psi(d * h) + psi((d - 1) * h)
-    e_mat = scipy.linalg.toeplitz(ecol)
-    w_mat = scipy.linalg.toeplitz(wcol)
-    ew = e_mat @ w_mat
-    quad = float(np.einsum("ij,ji->", ew, ew))
+    quad = _trace_toeplitz_product_square(ecol, wcol)
     return (hurst * (two_h - 1.0)) ** 2 / (2.0 * horizon) * quad
 
 

@@ -92,6 +92,39 @@ def test_estimate_roundtrip(tmp_path, capsys):
     assert set(doc) == {"theta_hat", "numerator", "denominator", "n", "delta"}
 
 
+def test_estimate_prints_finite_json_beyond_float_range(tmp_path, capsys):
+    # x 2^900 overflows the plain estimator sums; the printed sums are those
+    # of the rescaled path, never the non-JSON Infinity
+    lines = (DATA / "golden_path.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    huge = tmp_path / "huge.csv"
+    huge.write_text(
+        "\n".join([lines[0]] + [f"{i},{t},{float(x) * 2.0**900!r}" for i, t, x in rows]) + "\n"
+    )
+    assert run_cli(["estimate", "--in", str(huge)]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    x, delta = read_path_csv(str(DATA / "golden_path.csv"))
+    assert doc["theta_hat"] == lse.estimate_series(x, delta).theta_hat
+
+
+def test_mc_with_huge_start_has_no_degenerate_replications(tmp_path, capsys):
+    # x0 = 1e200 squares beyond float range in the estimator sums
+    out_json = tmp_path / "report.json"
+    cfg = _mc_config(tmp_path, x0=1e200, out_json=str(out_json))
+    assert run_cli(["mc", str(cfg), "--threads", "1"]) == 0
+    report = json.loads(out_json.read_text())
+    assert [s["degenerate_count"] for s in report["schemes"]] == [0]
+
+
+def test_simulate_extreme_delta_keeps_stationary_scale(capsys):
+    # delta = 1e300: the increments are nearly independent with variance
+    # H Gamma(2H) theta^(-2H) = 0.551; c(0) was once read as 1.6e47 here
+    args = ["simulate", "--theta", "1", "--hurst", "0.6", "--n", "50", "--delta", "1e300"]
+    assert run_cli(args + ["--seed", "3", "--out", "-"]) == 0
+    x = [float(line.split(",")[2]) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(x) == 51 and max(map(abs, x)) < 5.0
+
+
 def _edit_golden_row(tmp_path, i, col, value):
     lines = (DATA / "golden_path.csv").read_text().splitlines()
     cells = lines[i + 1].split(",")

@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -140,6 +143,46 @@ def test_weighted_autocov_fast_decay_matches_adaptive_quadrature(decay):
         assert increment_autocov(FbmGrid(step, 8, h, decay / step), 0) == pytest.approx(
             e0, rel=1e-7
         )
+
+
+def _weighted_autocov_mp(theta, step, hurst, k):
+    """c(k) from the defining integral at 50 digits.  With t = theta step |s|,
+    I(k) = (1/c) int_0^c ((k + t/c)^p + |k - t/c|^p)(e^-t - e^(t-2c)) dt;
+    at lag 0 the further substitution u = t^(p+1) removes the t^p singularity."""
+    with mpmath.workdps(50):
+        th, d, h = mpmath.mpf(theta), mpmath.mpf(step), mpmath.mpf(hurst)
+        c, p = th * d, 2 * h - 2
+        pts = [0] + [m for m in (1, 10, 60) if m < c] + [c]
+
+        def weight(t):
+            return mpmath.exp(-t) - mpmath.exp(t - 2 * c)
+
+        def lag0(u):
+            return 2 * weight(u ** (1 / (p + 1))) / (p + 1)
+
+        def lag_k(t):
+            return ((k + t / c) ** p + abs(k - t / c) ** p) * weight(t)
+
+        if k == 0:
+            integral = mpmath.quad(lag0, [v ** (p + 1) for v in pts]) / c ** (p + 1)
+        else:
+            integral = mpmath.quad(lag_k, pts) / c
+        return h * (2 * h - 1) * d ** (2 * h - 1) / (2 * th) * integral
+
+
+@pytest.mark.parametrize("decay", [1e2, 1e10, 1e50, 1e100, 1e300])
+def test_weighted_autocov_extreme_decay_matches_mpmath(decay):
+    # theta * step far beyond the decay-1000 test: lag 0 peaks on s ~ 1/decay,
+    # which adaptive quadrature on [0, 1] misses (c(0) was 1.6e7 at 1e100, not 0.55)
+    theta = 2.0
+    for h in (0.6, 0.9):
+        got = increment_autocov(FbmGrid(decay / theta, 4, h, theta), np.arange(3))
+        for k in range(3):
+            ref = _weighted_autocov_mp(theta, decay / theta, h, k)
+            assert abs(got[k] - ref) <= 1e-10 * ref, (h, k)
+        if decay >= 1e10:  # lag 0 at its limit H Gamma(2H) theta^(-2H)
+            limit = h * math.gamma(2 * h) * theta ** (-2 * h)
+            assert got[0] == pytest.approx(limit, rel=1e-14)
 
 
 def test_weighted_autocov_tends_to_fgn():

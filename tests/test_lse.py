@@ -50,6 +50,26 @@ def test_scale_invariance():
         assert scaled == pytest.approx(base, rel=1e-14)
 
 
+def test_power_of_two_scaling_is_bit_exact_beyond_float_range():
+    # x 2^600 overflows both plain sums, x 2^-600 underflows the second; the
+    # sums are then redone on x 2^-k, which reproduces theta_hat bit for bit
+    rng = np.random.default_rng(8)
+    x = np.cumsum(rng.standard_normal(400)) * 0.1 + 0.3
+    base = lse.estimate_series(x, 0.02)
+    for scale in (2.0**600, 2.0**-600, -(2.0**1000), 2.0**-1000):
+        res = lse.estimate_series(x * scale, 0.02)
+        assert res.theta_hat == base.theta_hat, scale
+        assert math.isfinite(res.numerator) and math.isfinite(res.denominator)
+        assert res.theta_hat == res.numerator / res.denominator
+
+
+def test_path_near_float_max_estimates_without_warning():
+    # np.diff itself would overflow on these values
+    x = np.array([1.7e308, -1.7e308, 1e308, 5.0])
+    res = lse.estimate_series(x, 0.1)
+    assert res.theta_hat == lse.estimate_series(x * 2.0**-1000, 0.1).theta_hat
+
+
 def test_estimator_components_consistent():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(50)

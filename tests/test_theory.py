@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fracou import theory
 from fracou.errors import DomainError, SizeError
@@ -124,6 +127,76 @@ def test_ef2_quadrature_symmetric_in_trace_order():
         np.einsum("ij,ji->", we, we)
     )
     assert swapped == pytest.approx(val, rel=1e-12)
+
+
+def _weights_mp(x):
+    """(e0, g) of theory._exp_cell_weights at 50 digits, with the digits that
+    x + expm1(-x) cancels added to the working precision."""
+    with mpmath.workdps(50 + 2 * max(0, -math.floor(math.log10(x)))):
+        xm = mpmath.mpf(x)
+        return 2 * (xm + mpmath.expm1(-xm)) / xm**2, (mpmath.expm1(-xm) / xm) ** 2
+
+
+def test_exp_cell_weights_match_mpmath():
+    xs = np.concatenate([np.logspace(-300, 3, 120), np.linspace(0.3, 0.7, 41)])
+    for x in map(float, xs):
+        e0, g = theory._exp_cell_weights(x)
+        ref_e0, ref_g = _weights_mp(x)
+        assert abs(e0 - ref_e0) <= 1e-14 * ref_e0, x
+        assert abs(g - ref_g) <= 1e-14 * ref_g, x
+    assert theory._exp_cell_weights(0.0) == (1.0, 1.0)
+
+
+def _ef2_dense(theta, hurst, horizon, cells):
+    # test-local oracle: mpmath cell weights, dense Toeplitz E and W, trace(EWEW)
+    h = horizon / cells
+    d = np.arange(cells)
+    e0, g = (float(v) for v in _weights_mp(theta * h))
+    ecol = np.empty(cells)
+    ecol[0] = e0
+    ecol[1:] = g * np.exp(-theta * h * d[:-1])
+    two_h = 2.0 * hurst
+    psi = np.abs(np.arange(-1.0, cells + 1) * h) ** two_h / (two_h * (two_h - 1.0))
+    wcol = psi[2:] - 2.0 * psi[1:-1] + psi[:-2]
+    ew = scipy.linalg.toeplitz(ecol) @ scipy.linalg.toeplitz(wcol)
+    return (hurst * (two_h - 1.0)) ** 2 / (2.0 * horizon) * np.einsum("ij,ji->", ew, ew)
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3, 120, 1200])
+def test_ef2_fixed_mesh_matches_dense_oracle(cells):
+    for th in (0.05, 1.0, 5.0, 20.0):
+        for h in (0.51, 0.6, 0.74):
+            got = theory._ef2_fixed_mesh(th, h, 10.0, cells)
+            ref = _ef2_dense(th, h, 10.0, cells)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0), (th, h)
+
+
+def test_ef2_fixed_mesh_large_theta_h():
+    # theta h = 3333: e^(theta h) overflows float64, the cell weights must not
+    got = theory._ef2_fixed_mesh(1e5, 0.6, 10.0, 300)
+    assert got == pytest.approx(_ef2_dense(1e5, 0.6, 10.0, 300), rel=1e-12, abs=0)
+
+
+def test_ef2_quadrature_memory_is_linear_in_cells():
+    # 2400 fine cells at T = 50: one dense 2400 x 2400 matrix alone is 46 MB
+    p = ModelParams(theta=1.0, hurst=0.6)
+    tracemalloc.start()
+    try:
+        theory.ef2_quadrature(p, 50.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("hurst", [0.55, 0.7])
+@pytest.mark.parametrize("horizon", [5.0, 20.0])
+def test_ef2_small_theta_limit(hurst, horizon):
+    # theta -> 0: E(F_T^2) -> (H(2H-1))^2/(2T) (int int |u-v|^(2H-2))^2 = T^(4H-1)/2,
+    # which the exact cell weights reproduce on any mesh
+    val = theory.ef2_quadrature(ModelParams(theta=1e-10, hurst=hurst), horizon)
+    limit = horizon ** (4.0 * hurst - 1.0) / 2.0
+    assert val == pytest.approx(limit, rel=1e-8, abs=0)
 
 
 def test_ef2_quadrature_regression_and_richardson():
