@@ -22,7 +22,10 @@ H in (1/2, 1) at the sizes this package uses, but is guarded anyway).
 Randomness comes from numpy's counter-based Philox generator keyed by
 (seed, stream): distinct streams are independent, and a fixed
 (seed, stream, grid) triple reproduces the same draw bit for bit.
-Gaussians are produced by `Generator.standard_normal` (ziggurat).
+Gaussians are produced by `Generator.standard_normal` (ziggurat).  A block
+of consecutive streams (`sample_rows`) reuses one generator and re-keys it
+per row through its state, which gives the bits of a fresh generator
+(Salmon et al. 2011: a counter-based stream is a function of key and counter).
 """
 
 import math
@@ -42,6 +45,7 @@ __all__ = [
     "IncrementSeries",
     "increment_autocov",
     "sample_circulant",
+    "sample_rows",
     "sample_cholesky",
     "partial_sums",
 ]
@@ -98,6 +102,7 @@ class RngSeed:
                 raise DomainError(f"seed and stream must be integers in [0, 2^63): {self}")
 
     def generator(self) -> np.random.Generator:
+        """A fresh generator of this stream; `sample_rows` draws the same normals."""
         return np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
 
 
@@ -216,42 +221,89 @@ def _cholesky_factor(step: float, count: int, hurst: float, theta: float):
 
 def sample_circulant(grid: FbmGrid, seed: RngSeed) -> IncrementSeries:
     """Exact draw of the grid increments via circulant embedding and one real
-    inverse FFT.
+    inverse FFT: the one-row case of `sample_rows`.
 
     Falls back to the Cholesky sampler (flagged in the result) if the
     embedding has an eigenvalue below -NEG_EIG_RTOL * max; smaller negative
     eigenvalues are clamped to zero.
     """
-    amp = _embedding_spectrum(grid.step, grid.count, grid.hurst, grid.theta)
+    values, fallback = sample_rows(grid, seed.seed, seed.stream, 1)
+    method = "cholesky" if fallback else "circulant"
+    return IncrementSeries(grid=grid, values=values[0], method=method, fallback=fallback)
+
+
+def sample_rows(grid: FbmGrid, seed: int, first_stream: int, count: int):
+    """(values, fallback): row r of `values` is the draw of Philox stream
+    (seed, first_stream + r); `fallback` is True when the embedding is
+    indefinite and the rows come from the Cholesky factor instead.
+
+    The rows share one batched `irfft`, which computes each row as a single
+    draw would, so every row equals its own `sample_circulant` bit for bit.
+    """
+    m = grid.count
+    amp = _embedding_spectrum(grid.step, m, grid.hurst, grid.theta)
     if amp is None:
-        out = sample_cholesky(grid, seed)
-        out.fallback = True
-        return out
-    values = _circulant_draw(amp, grid.count, seed.generator())
-    return IncrementSeries(grid=grid, values=values, method="circulant")
-
-
-def _circulant_draw(amp, m, rng):
+        return _cholesky_rows(grid, seed, first_stream, count), True
     # normals fill [re_0, re_m, re_1, im_1, ..., im_{m-1}]; the conjugate makes
     # this the 2m-point FFT of the Hermitian vector; irfft drops im_0 and im_m
-    half = np.empty(m + 1, dtype=complex)
-    rng.standard_normal(out=half.view(float)[: 2 * m])
-    half[m] = half[0].imag
+    half = np.empty((count, m + 1), dtype=complex)
+    _stream_normals(seed, first_stream, half.view(float)[:, : 2 * m])
+    half[:, m] = half[:, 0].imag
     np.conjugate(half, out=half)
     half *= amp
-    return np.fft.irfft(half, n=2 * m)[:m]
+    return np.fft.irfft(half, n=2 * m, axis=1)[:, :m], False
 
 
 def sample_cholesky(grid: FbmGrid, seed: RngSeed) -> IncrementSeries:
     """Exact draw of the grid increments via the dense Toeplitz Cholesky factor
     (oracle sampler)."""
+    values = _cholesky_rows(grid, seed.seed, seed.stream, 1)[0]
+    return IncrementSeries(grid=grid, values=values, method="cholesky")
+
+
+def _cholesky_rows(grid, seed, first_stream, count):
     if grid.count > CHOLESKY_MAX_COUNT:
         raise SizeError(
             f"sample_cholesky limited to count <= {CHOLESKY_MAX_COUNT}, got {grid.count}"
         )
     fac = _cholesky_factor(grid.step, grid.count, grid.hurst, grid.theta)
-    z = seed.generator().standard_normal(grid.count)
-    return IncrementSeries(grid=grid, values=fac @ z, method="cholesky")
+    z = np.empty((count, grid.count))
+    _stream_normals(seed, first_stream, z)
+    for row in z:  # one product per row keeps the bits of a single draw
+        row[:] = fac @ row
+    return z
+
+
+def _stream_normals(seed: int, first_stream: int, rows) -> None:
+    """Fill each row r of `rows` with the standard normals of Philox stream
+    (seed, first_stream + r), as `RngSeed(seed, first_stream + r).generator()`
+    draws them; one generator serves all rows, re-keyed per row after the first."""
+    bits = np.random.Philox(key=[seed, first_stream])
+    rng = np.random.Generator(bits)
+    for r, row in enumerate(rows):
+        if r:
+            _rekey(bits, seed, first_stream + r)
+        rng.standard_normal(out=row)
+
+
+#: counter and buffer of a freshly keyed Philox generator
+_ZEROS = np.zeros(4, dtype=np.uint64)
+_ZEROS.setflags(write=False)
+
+
+def _rekey(bits: np.random.Philox, seed: int, stream: int) -> None:
+    """Put `bits` in the state `Philox(key=[seed, stream])` starts in: that
+    key, a zero counter and an empty buffer, with no spare 32-bit half.
+    Whatever `bits` drew before does not matter, and it is about 5x cheaper
+    than constructing a generator."""
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": np.array([seed, stream], dtype=np.uint64)},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def partial_sums(incs: IncrementSeries) -> np.ndarray:

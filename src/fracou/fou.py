@@ -11,7 +11,10 @@ and xi_0, xi_1, ... is a stationary Gaussian sequence (Cheridito, Kawaguchi
 & Maejima 2003).  By default xi is drawn exactly by circulant embedding on
 the observation grid (`FbmGrid(delta, n, H, theta)`) and the recursion runs
 as one `lfilter` at step delta, so the path has the exact law of the fOU
-process at the observation times.
+process at the observation times.  `simulate_paths` draws the paths of a
+block of consecutive Philox streams together, with one batched `irfft` and
+one `lfilter` along the rows; `simulate_path` is its one-row case, so a row
+of a block equals the single path of its stream bit for bit.
 
 The `increments=` hook keeps the exponential-Euler scheme as a reference:
 given fGn on the fine grid of step d = delta/oversample, the recursion
@@ -30,7 +33,7 @@ import scipy.integrate
 import scipy.signal
 
 from .errors import DomainError, SizeError
-from .fbm import FbmGrid, IncrementSeries, RngSeed, sample_circulant
+from .fbm import FbmGrid, IncrementSeries, RngSeed, sample_rows
 
 __all__ = [
     "ModelParams",
@@ -38,6 +41,7 @@ __all__ = [
     "ObservedPath",
     "check_steps",
     "simulate_path",
+    "simulate_paths",
     "exact_second_moment",
     "write_path_csv",
     "read_path_csv",
@@ -122,7 +126,8 @@ def simulate_path(
     seed: RngSeed,
     increments: IncrementSeries | None = None,
 ) -> ObservedPath:
-    """Simulate one observed path with the exact law at the observation times.
+    """Simulate one observed path with the exact law at the observation times:
+    the one-row case of `simulate_paths`.
 
     `increments` is the hook for the exponential-Euler reference scheme: when
     given, it must be an fGn IncrementSeries on the fine grid of the scheme
@@ -131,9 +136,8 @@ def simulate_path(
     n = scheme.n
     check_steps(n)
     if increments is None:
-        grid = FbmGrid(step=scheme.delta, count=n, hurst=params.hurst, theta=params.theta)
-        incs = sample_circulant(grid, seed)
-        xi = incs.values
+        x, fallback = simulate_paths(params, scheme, seed.seed, seed.stream, 1)
+        method = "cholesky" if fallback else "circulant"
     else:
         incs, m = increments, scheme.oversample
         if incs.grid.count != n * m:
@@ -142,20 +146,35 @@ def simulate_path(
             )
         # xi_i = sum_j a_d^(m-1-j) dB_{i*m+j}, a_d = e^(-theta * fine_step)
         w = np.exp(-params.theta * scheme.fine_step) ** np.arange(m - 1, -1, -1)
-        xi = incs.values.reshape(n, m) @ w
+        x = _recurse(params, scheme, (incs.values.reshape(n, m) @ w)[None])
+        method, fallback = incs.method, incs.fallback
+    meta = {"method": method, "fallback": fallback, "seed": seed.seed, "stream": seed.stream}
+    return ObservedPath(params=params, scheme=scheme, x=x[0], meta=meta)
 
-    # x[i+1] = a x[i] + xi_i, seeded with x[0] = x0
-    x = np.empty(n + 1)
-    x[0] = params.x0
-    x[1:] = xi
-    x = scipy.signal.lfilter([1.0], [1.0, -np.exp(-params.theta * scheme.delta)], x)
-    meta = {
-        "method": incs.method,
-        "fallback": incs.fallback,
-        "seed": seed.seed,
-        "stream": seed.stream,
-    }
-    return ObservedPath(params=params, scheme=scheme, x=x, meta=meta)
+
+def simulate_paths(
+    params: ModelParams, scheme: SamplingScheme, seed: int, first_stream: int, count: int
+):
+    """(x, fallback): row r of x is the exact path of Philox stream
+    (seed, first_stream + r), bit for bit the `simulate_path` of that stream;
+    `fallback` says whether the Cholesky sampler drew the increments.
+
+    All rows share one batched draw (`fbm.sample_rows`) and one `lfilter`.
+    """
+    check_steps(scheme.n)
+    grid = FbmGrid(step=scheme.delta, count=scheme.n, hurst=params.hurst, theta=params.theta)
+    xi, fallback = sample_rows(grid, seed, first_stream, count)
+    return _recurse(params, scheme, xi), fallback
+
+
+def _recurse(params, scheme, xi):
+    # x[:, i+1] = a x[:, i] + xi[:, i], seeded with x[:, 0] = x0; the
+    # coefficient is np.exp, which can differ from math.exp in the last bit
+    x = np.empty((xi.shape[0], scheme.n + 1))
+    x[:, 0] = params.x0
+    x[:, 1:] = xi
+    a = np.exp(-params.theta * scheme.delta)
+    return scipy.signal.lfilter([1.0], [1.0, -a], x, axis=1)
 
 
 def exact_second_moment(params: ModelParams, t: float) -> float:

@@ -8,7 +8,14 @@ import numpy as np
 from .errors import ConsistencyError, DegeneratePathError, DomainError
 from .fou import ModelParams, ObservedPath
 
-__all__ = ["EstimateResult", "estimate", "estimate_series", "studentize"]
+__all__ = [
+    "EstimateResult",
+    "estimate",
+    "estimate_series",
+    "ratio_terms",
+    "studentize",
+    "studentize_sample",
+]
 
 #: smallest normal float64; a lagged sum of squares below it has lost digits
 _TINY = float(np.finfo(float).tiny)
@@ -45,12 +52,7 @@ def estimate_series(x, delta: float) -> EstimateResult:
         raise DomainError("path contains non-finite values")
     if not (delta > 0.0 and np.isfinite(delta)):
         raise DomainError(f"delta must be positive, got {delta}")
-    num, sxx = _lse_sums(x)
-    if not (math.isfinite(num) and _TINY <= sxx < math.inf):
-        num, sxx = _lse_sums(np.ldexp(x, -math.frexp(np.abs(x).max())[1]))
-    den = delta * sxx
-    if den <= 0.0:
-        raise DegeneratePathError("sum of squared lagged observations is zero")
+    num, den = ratio_terms(x, delta)
     return EstimateResult(
         theta_hat=num / den,
         numerator=num,
@@ -58,6 +60,19 @@ def estimate_series(x, delta: float) -> EstimateResult:
         n=x.size - 1,
         delta=delta,
     )
+
+
+def ratio_terms(x: np.ndarray, delta: float) -> tuple[float, float]:
+    """(numerator, denominator) of theta_hat for a finite float path x of at
+    least 3 points, rescaled as `estimate_series` describes; the caller has
+    checked x and delta.  Raises DegeneratePathError when the denominator is 0."""
+    num, sxx = _lse_sums(x)
+    if not (math.isfinite(num) and _TINY <= sxx < math.inf):
+        num, sxx = _lse_sums(np.ldexp(x, -math.frexp(np.abs(x).max())[1]))
+    den = delta * sxx
+    if den <= 0.0:
+        raise DegeneratePathError("sum of squared lagged observations is zero")
+    return num, den
 
 
 def _lse_sums(x):
@@ -81,7 +96,7 @@ def estimate(path: ObservedPath) -> EstimateResult:
 
 
 def studentize(est: EstimateResult, truth: ModelParams, consts) -> float:
-    """lambda_n * sqrt(T_n) * (theta_hat - theta) at the true parameter.
+    """lambda_n * (sqrt(T_n) * (theta_hat - theta)) at the true parameter.
 
     `consts` is a theory.TheoryConstants computed for the same
     (theta, H, n, delta); a mismatch raises ConsistencyError.
@@ -93,7 +108,18 @@ def studentize(est: EstimateResult, truth: ModelParams, consts) -> float:
             f"constants computed for (n={consts.scheme_n}, delta={consts.scheme_delta}) "
             f"but estimate has (n={est.n}, delta={est.delta})"
         )
+    return float(studentize_sample(est.theta_hat, truth, consts)[1])
+
+
+def studentize_sample(theta_hats, truth: ModelParams, consts):
+    """Vector form of `studentize` for estimates on the scheme of `consts`:
+    (sqrt(T_n) * (theta_hat - theta), lambda_n times that), elementwise.
+
+    The first is the error whose variance tends to sigma_H^2, the second the
+    studentized statistic; a theta mismatch raises ConsistencyError.
+    """
     if not math.isclose(consts.theta, truth.theta, rel_tol=1e-12):
         raise ConsistencyError("constants and truth disagree on theta")
-    t_n = est.n * est.delta
-    return consts.lambda_n * math.sqrt(t_n) * (est.theta_hat - truth.theta)
+    t_n = consts.scheme_n * consts.scheme_delta
+    root_t_err = math.sqrt(t_n) * (np.asarray(theta_hats, dtype=float) - truth.theta)
+    return root_t_err, consts.lambda_n * root_t_err

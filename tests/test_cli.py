@@ -300,13 +300,27 @@ def test_mc_malformed_config_exits_2(tmp_path, capsys, overrides):
     ],
 )
 def test_mc_invalid_config_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, overrides):
+    _forbid_draws(monkeypatch)
+    cfg = _mc_config(tmp_path, **overrides)
+    assert run_cli(["mc", str(cfg), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "replication failed" not in err and "a replication was drawn" not in err
+
+
+def _forbid_draws(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("a replication was drawn")
 
-    monkeypatch.setattr(montecarlo, "simulate_path", no_draw)
-    cfg = _mc_config(tmp_path, **overrides)
-    assert run_cli(["mc", str(cfg), "--threads", "1"]) == 2
-    assert "replication failed" not in capsys.readouterr().err
+    # every draw of `fracou mc` goes through run_block, which draws by simulate_paths
+    monkeypatch.setattr(montecarlo, "run_block", no_draw)
+    monkeypatch.setattr(montecarlo, "simulate_paths", no_draw)
+
+
+def test_mc_draw_guard_sees_a_valid_run_draw(tmp_path, capsys, monkeypatch):
+    # the guard above is not vacuous: a valid config does reach a patched name
+    _forbid_draws(monkeypatch)
+    assert run_cli(["mc", str(_mc_config(tmp_path)), "--threads", "1"]) == 1
+    assert "a replication was drawn" in capsys.readouterr().err
 
 
 def test_mc_empty_schedule_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
+from fracou import fbm
 from fracou.errors import DomainError, SizeError
 from fracou.fou import ModelParams, exact_second_moment
 from fracou.fbm import (
@@ -16,6 +17,7 @@ from fracou.fbm import (
     partial_sums,
     sample_cholesky,
     sample_circulant,
+    sample_rows,
 )
 
 
@@ -300,6 +302,42 @@ def test_rng_seed_rejects_keys_outside_philox_range(value):
 def test_rng_seed_largest_key_is_exact():
     gen = RngSeed(2**63 - 1, 2**63 - 2).generator()
     assert gen.bit_generator.state["state"]["key"].tolist() == [2**63 - 1, 2**63 - 2]
+
+
+@pytest.mark.parametrize("stream", [0, 1, 2**63 - 1])
+def test_rekeyed_philox_matches_fresh_generator(stream):
+    # re-keying a used generator gives the bits of a fresh one, even when
+    # the last draw left a spare 32-bit half and a partly used buffer
+    seed = 2**62 + 5
+    bits = np.random.Philox(key=[3, 9])
+    rng = np.random.Generator(bits)
+    rng.integers(0, 2**32, size=5, dtype=np.uint32)
+    state = bits.state
+    assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+    fbm._rekey(bits, seed, stream)
+    fresh = RngSeed(seed, stream).generator()
+    assert np.array_equal(rng.standard_normal(301), fresh.standard_normal(301))
+    # 32-bit draws, which use the spare half, agree as well
+    ints = rng.integers(0, 2**32, size=3, dtype=np.uint32)
+    assert np.array_equal(ints, fresh.integers(0, 2**32, size=3, dtype=np.uint32))
+
+
+@pytest.mark.parametrize("first", [0, 2**63 - 3])
+def test_stream_normals_rows_match_fresh_generators(first):
+    rows = np.empty((3, 17))
+    fbm._stream_normals(11, first, rows)
+    for r, row in enumerate(rows):
+        assert np.array_equal(row, RngSeed(11, first + r).generator().standard_normal(17))
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_sample_rows_match_single_draws(theta):
+    # one batched irfft computes every row as the one-row draw does
+    grid = FbmGrid(step=0.05, count=257, hurst=0.7, theta=theta)
+    values, fallback = sample_rows(grid, 2718, 40, 9)
+    assert not fallback and values.shape == (9, 257)
+    for r, row in enumerate(values):
+        assert np.array_equal(row, sample_circulant(grid, RngSeed(2718, 40 + r)).values)
 
 
 def test_cholesky_determinism():

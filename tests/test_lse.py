@@ -124,6 +124,23 @@ def test_studentize_value_and_checks():
         lse.studentize(est, other, consts)
 
 
+def test_studentize_sample_is_the_vector_form():
+    # elementwise the scalar studentize, with the sqrt(T) (theta_hat - theta)
+    # error the mc variance ratio uses
+    params = ModelParams(theta=1.0, hurst=0.7)
+    scheme = SamplingScheme(n=100, delta=0.1)
+    consts = theory.constants(params, scheme)
+    theta_hats = np.array([0.7, 1.0, 1.3, 2.9e-3, 41.0])
+    root_t_err, student = lse.studentize_sample(theta_hats, params, consts)
+    assert np.array_equal(root_t_err, math.sqrt(scheme.horizon) * (theta_hats - 1.0))
+    assert np.array_equal(student, consts.lambda_n * root_t_err)
+    for value, z in zip(theta_hats, student):
+        est = lse.EstimateResult(float(value), 1.0, 1.0, n=100, delta=0.1)
+        assert z == lse.studentize(est, params, consts)
+    with pytest.raises(ConsistencyError):
+        lse.studentize_sample(theta_hats, ModelParams(theta=2.0, hurst=0.7), consts)
+
+
 def test_full_pipeline_regression():
     # one seeded path through simulate -> estimate -> studentize; values
     # frozen from the first verified run as a change detector

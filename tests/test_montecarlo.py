@@ -1,12 +1,15 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
+import scipy.signal
 
-from fracou import montecarlo
+from fracou import fbm, fou, lse, montecarlo
 from fracou.errors import ConfigError, DomainError, ReplicationError
-from fracou.fbm import RngSeed
-from fracou.fou import ModelParams, SamplingScheme
+from fracou.fbm import FbmGrid, RngSeed, sample_cholesky
+from fracou.fou import ModelParams, SamplingScheme, simulate_path
 from fracou.montecarlo import McConfig, ks_to_std_normal
 
 PARAMS = ModelParams(theta=1.0, hurst=0.6)
@@ -187,3 +190,79 @@ def test_streams_disjoint_across_schemes():
     report = montecarlo.run(config, threads=1)
     a, b = report.results
     assert a.mean_theta_hat != b.mean_theta_hat
+
+
+@pytest.mark.parametrize("x0", [0.0, 1.5, 1e200])  # 1e200: the power-of-two rescale
+@pytest.mark.parametrize("n", [16, 500])
+def test_run_block_matches_single_path_pipeline(n, x0):
+    params = ModelParams(theta=1.0, hurst=0.6, x0=x0)
+    scheme = SamplingScheme.from_gamma(n, 0.6)
+    for first, count in [(0, 1), (3, 7), (2**40, montecarlo.block_rows(n))]:
+        got = montecarlo.run_block(params, scheme, 17, first, count)
+        ref = [
+            lse.estimate(simulate_path(params, scheme, RngSeed(17, first + r))).theta_hat
+            for r in range(count)
+        ]
+        assert got.tolist() == ref
+
+
+def test_block_fallback_rows_match_sample_cholesky(monkeypatch):
+    # an indefinite embedding sends every row of the block to the Cholesky
+    # factor, with the bits of sample_cholesky on each row's stream
+    monkeypatch.setattr(fbm, "_embedding_spectrum", lambda *args: None)
+    params = ModelParams(theta=1.0, hurst=0.6, x0=1.5)
+    scheme = SamplingScheme(n=16, delta=0.25)
+    grid = FbmGrid(step=0.25, count=16, hurst=0.6, theta=1.0)
+    paths, fallback = fou.simulate_paths(params, scheme, 5, 40, 7)
+    theta_hats = montecarlo.run_block(params, scheme, 5, 40, 7)
+    assert fallback
+    for r in range(7):
+        x = np.empty(17)
+        x[0] = 1.5
+        x[1:] = sample_cholesky(grid, RngSeed(5, 40 + r)).values
+        x = scipy.signal.lfilter([1.0], [1.0, -np.exp(-0.25)], x)
+        assert np.array_equal(paths[r], x)
+        assert theta_hats[r] == lse.estimate_series(x, 0.25).theta_hat
+
+
+def test_canonical_report_bytes_equal_at_one_two_three_workers():
+    # 1001 replications at n = 64 make 8 blocks, the last one short
+    config = _config(schedule=[SamplingScheme(n=64, delta=0.25)], replications=1001)
+    reports = [
+        json.dumps(montecarlo.run(config, threads=t).to_dict(canonical=True), sort_keys=True)
+        for t in (1, 2, 3)
+    ]
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("cpus, expected", [(64, [8]), (3, [3]), (1, [])])
+def test_pool_never_exceeds_blocks_or_usable_cpus(monkeypatch, cpus, expected):
+    # a recording stand-in for the process pool: no process is started
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    config = _config(schedule=[SamplingScheme(n=64, delta=0.25)], replications=1001)
+    pooled = montecarlo.run(config, threads=5000)
+    assert started == expected
+    serial = montecarlo.run(config, threads=1)
+    assert pooled.to_dict(canonical=True) == serial.to_dict(canonical=True)
+
+
+def test_single_block_runs_without_a_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for one block")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    assert montecarlo.block_rows(16) >= 100
+    montecarlo.run(_config(), threads=5000)
