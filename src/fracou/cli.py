@@ -151,8 +151,13 @@ def _check_type(what: str, value, kind: str) -> None:
 
 
 def _load_mc_config(path: str):
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except IsADirectoryError as exc:
+        raise DomainError(f"mc config {path!r} is a directory") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"mc config is not UTF-8 text: {exc.reason}") from exc
     _check_type("mc config", doc, "an object")
     doc = {key: value for key, value in doc.items() if value is not None}
     unknown = set(doc) - set(_MC_KEYS)

@@ -33,11 +33,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
 
 from .errors import DomainError, SizeError
-from .specialfn import lower_incomplete_gamma
+from .specialfn import lower_incomplete_gamma, power_second_difference
 
 __all__ = [
     "FbmGrid",
@@ -138,8 +136,7 @@ def increment_autocov(grid: FbmGrid, lag) -> float:
         rho = _weighted_autocov(grid.step, grid.hurst, grid.theta, k)
     else:
         h2 = 2.0 * grid.hurst
-        rho = 0.5 * (np.abs(k + 1.0) ** h2 - 2.0 * k**h2 + np.abs(k - 1.0) ** h2)
-        rho = rho * grid.step**h2
+        rho = 0.5 * power_second_difference(k, h2) * grid.step**h2
     return float(rho) if np.isscalar(lag) else rho
 
 
@@ -161,6 +158,8 @@ def _weighted_autocov(step, hurst, theta, k):
         return -np.exp(-c * s) * np.expm1(-2.0 * c * (1.0 - s))
 
     def singular(a, b):  # int_0^1 s^a (1-s)^b w(s) ds
+        import scipy.integrate
+
         return scipy.integrate.quad(
             weight, 0.0, 1.0, weight="alg", wvar=(a, b), epsabs=0.0, epsrel=1e-12, limit=200
         )[0]
@@ -209,6 +208,8 @@ def _embedding_spectrum(step: float, count: int, hurst: float, theta: float = 0.
 
 @lru_cache(maxsize=4)
 def _cholesky_factor(step: float, count: int, hurst: float, theta: float):
+    import scipy.linalg
+
     grid = FbmGrid(step, count, hurst, theta)
     cov = scipy.linalg.toeplitz(increment_autocov(grid, np.arange(count)))
     try:

@@ -23,14 +23,16 @@ X_{t+d} = e^(-theta d) X_t + dB is aggregated per observation step,
     xi_i ~ sum_{j<M} e^(-theta d (M-1-j)) dB_{i M + j},    M = oversample,
 
 which carries an O(d^H) scheme error that vanishes as M grows.
+
+scipy loads on first use: `scipy.signal` with the first path, and
+`scipy.integrate` with the first `exact_second_moment`, so that reading
+and estimating a path CSV needs numpy only.
 """
 
 import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
-import scipy.signal
 
 from .errors import DomainError, SizeError
 from .fbm import FbmGrid, IncrementSeries, RngSeed, sample_rows
@@ -168,6 +170,8 @@ def simulate_paths(
 
 
 def _recurse(params, scheme, xi):
+    import scipy.signal
+
     # x[:, i+1] = a x[:, i] + xi[:, i], seeded with x[:, 0] = x0; the
     # coefficient is np.exp, which can differ from math.exp in the last bit
     x = np.empty((xi.shape[0], scheme.n + 1))
@@ -188,6 +192,8 @@ def exact_second_moment(params: ModelParams, t: float) -> float:
     evaluated as -e^(-theta z) expm1(-2 theta (t - z)), which keeps full
     precision as theta t -> 0, where E[X_t^2] -> x0^2 + t^(2H).
     """
+    import scipy.integrate
+
     if not (t > 0.0 and np.isfinite(t)):
         raise DomainError(f"t must be positive and finite, got {t}")
     th, h, x0 = params.theta, params.hurst, params.x0
@@ -221,17 +227,24 @@ def read_path_csv(src) -> tuple[np.ndarray, float]:
 
     The `i` column must count 0..n and the times must satisfy
     |t_i - i * delta| <= 1e-9 * max(1, |t_i|) with delta = t_1 - t_0.
+    A directory, text that is not UTF-8 and malformed rows raise DomainError.
     """
     own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
-    fh = open(src, "r", newline="") if own else src
+    try:
+        fh = open(src, "r", newline="", encoding="utf-8") if own else src
+    except IsADirectoryError as exc:
+        raise DomainError(f"path CSV {src!r} is a directory") from exc
     try:
         header = next(csv.reader([fh.readline()]), None)
         if header != ["i", "t", "x"]:
             raise DomainError(f"expected CSV header i,t,x, got {header}")
-        try:
-            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            raise DomainError(f"malformed path CSV: {exc}") from exc
+        rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"path CSV is not UTF-8 text: {exc.reason}") from exc
+    except DomainError:
+        raise
+    except ValueError as exc:
+        raise DomainError(f"malformed path CSV: {exc}") from exc
     finally:
         if own:
             fh.close()

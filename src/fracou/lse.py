@@ -20,6 +20,9 @@ __all__ = [
 #: smallest normal float64; a lagged sum of squares below it has lost digits
 _TINY = float(np.finfo(float).tiny)
 
+#: elements per BLAS dot in the estimator sums, below OpenBLAS's threading cutoff
+_SUM_CHUNK = 2**13
+
 
 @dataclass
 class EstimateResult:
@@ -78,16 +81,32 @@ def ratio_terms(x: np.ndarray, delta: float) -> tuple[float, float]:
 def _lse_sums(x):
     """(-sum x_{i-1}(x_i - x_{i-1}), sum x_{i-1}^2), infinite or NaN on overflow.
 
-    vdot runs the same BLAS sum as dot but raises no numpy overflow warning;
     np.diff is skipped once the second sum overflows, since it could too.
     """
     prev = x[:-1]
-    sxx = float(np.vdot(prev, prev))
+    sxx = _sum_squares(prev)
     if sxx == math.inf:
         return math.nan, sxx
     dx = np.diff(x)
     last, first = float(x[-1]), float(x[0])
-    return 0.5 * float(np.vdot(dx, dx)) - 0.5 * (last * last - first * first), sxx
+    return 0.5 * _sum_squares(dx) - 0.5 * (last * last - first * first), sxx
+
+
+def _sum_squares(v):
+    """sum v_i^2, +inf on overflow, with the same bits for any BLAS thread count.
+
+    vdot runs the BLAS dot but raises no numpy overflow warning.  Above about
+    10^4 elements OpenBLAS splits a dot across its threads, so the sum would
+    depend on OPENBLAS_NUM_THREADS; chunks of _SUM_CHUNK elements stay on one
+    thread, and math.fsum adds their partials exactly rounded.  A vector of
+    at most _SUM_CHUNK elements is one chunk and one vdot.
+    """
+    chunks = (v[i : i + _SUM_CHUNK] for i in range(0, v.size, _SUM_CHUNK))
+    partials = [np.vdot(c, c) for c in chunks]
+    try:
+        return math.fsum(partials)
+    except OverflowError:  # finite partials whose sum overflows
+        return math.inf
 
 
 def estimate(path: ObservedPath) -> EstimateResult:

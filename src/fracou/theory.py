@@ -11,13 +11,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
-from scipy.linalg.blas import daxpy, ddot
 
 from .errors import DomainError, SizeError
 from .fou import ModelParams, SamplingScheme
-from .specialfn import gamma, lower_incomplete_gamma
+from .specialfn import gamma, lower_incomplete_gamma, power_second_difference
 
 __all__ = [
     "TheoryConstants",
@@ -110,6 +107,8 @@ def alpha_n_quadrature(params: ModelParams, horizon: float) -> float:
     algebraic-weight rule for the u^(2H-2) endpoint singularity, the outer
     integral a plain adaptive rule.
     """
+    import scipy.integrate
+
     if not (horizon > 0.0 and np.isfinite(horizon)):
         raise DomainError(f"horizon must be positive, got {horizon}")
     th, h = params.theta, params.hurst
@@ -196,6 +195,9 @@ def _trace_toeplitz_product_square(e: np.ndarray, w: np.ndarray) -> float:
     C[0, :] = W e, the loop carries row i of C and of C^T by diagonal
     d = i - k <= i, so trace = sum C[i, k] C[k, i] = 2 sum_{k<=i} - sum_i C[i, i]^2.
     """
+    import scipy.linalg
+    from scipy.linalg.blas import daxpy, ddot
+
     n = e.size
     col = scipy.linalg.matmul_toeplitz(e, w)
     row = scipy.linalg.matmul_toeplitz(w, e)
@@ -220,8 +222,9 @@ def _ef2_fixed_mesh(theta: float, hurst: float, horizon: float, cells: int) -> f
 
     Both kernel factors are replaced by exact cell-pair integrals on a
     uniform mesh: the singular factor |u-v|^(2H-2) via the second
-    antiderivative |u|^(2H)/(2H(2H-1)), the exponential factor analytically
-    (`_exp_cell_weights`, accurate as theta h -> 0).  The integral then
+    difference of its second antiderivative |u|^(2H)/(2H(2H-1))
+    (`power_second_difference`, accurate at large lags), the exponential
+    factor analytically (`_exp_cell_weights`, accurate as theta h -> 0).  The integral then
     collapses to trace(E W E W) with Toeplitz E, W, which the displacement
     recursion of `_trace_toeplitz_product_square` evaluates in O(cells^2)
     time and O(cells) memory.
@@ -234,11 +237,7 @@ def _ef2_fixed_mesh(theta: float, hurst: float, horizon: float, cells: int) -> f
     ecol[0] = e0
     ecol[1:] = g * np.exp(-theta * h * d[:-1])
     two_h = 2.0 * hurst
-
-    def psi(u):
-        return np.abs(u) ** two_h / (two_h * (two_h - 1.0))
-
-    wcol = psi((d + 1) * h) - 2.0 * psi(d * h) + psi((d - 1) * h)
+    wcol = h**two_h / (two_h * (two_h - 1.0)) * power_second_difference(d, two_h)
     quad = _trace_toeplitz_product_square(ecol, wcol)
     return (hurst * (two_h - 1.0)) ** 2 / (2.0 * horizon) * quad
 

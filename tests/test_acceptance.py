@@ -18,7 +18,7 @@ import scipy.stats
 
 from fracou import montecarlo, theory
 from fracou.cli import main as cli_main
-from fracou.fbm import FbmGrid, RngSeed, increment_autocov, sample_cholesky, sample_circulant
+from fracou.fbm import FbmGrid, RngSeed, increment_autocov, sample_cholesky, sample_rows
 from fracou.fou import ModelParams, SamplingScheme
 from fracou.montecarlo import McConfig
 from fracou.specialfn import gamma, std_normal_cdf
@@ -72,13 +72,12 @@ def _lagwise_autocov_zscores(hurst: float, seed: int, count: int, n_rep: int):
     s1 = np.zeros(count)
     s2 = np.zeros(count)
     chunk = 2000
-    buf = np.empty((chunk, count))
     r = 0
     while r < n_rep:
         b = min(chunk, n_rep - r)
-        for i in range(b):
-            buf[i] = sample_circulant(grid, RngSeed(seed, r + i)).values
-        f = np.fft.rfft(buf[:b], n=2 * count, axis=1)
+        # rows r .. r+b-1 are the sample_circulant draws of those streams, bit for bit
+        block = sample_rows(grid, seed, r, b)[0]
+        f = np.fft.rfft(block, n=2 * count, axis=1)
         ac = np.fft.irfft(f * np.conj(f), n=2 * count, axis=1)[:, :count] / nlag
         s1 += ac.sum(axis=0)
         s2 += (ac * ac).sum(axis=0)
@@ -100,10 +99,9 @@ def test_criterion_2_fbm_exactness():
     # cross-method law check on a handful of marginals
     grid = FbmGrid(step=1.0, count=count, hurst=0.7)
     n_ks = 10000
-    circ = np.empty((n_ks, count))
+    circ = sample_rows(grid, 91, 0, n_ks)[0]
     chol = np.empty((n_ks, count))
     for r in range(n_ks):
-        circ[r] = sample_circulant(grid, RngSeed(91, r)).values
         chol[r] = sample_cholesky(grid, RngSeed(92, r)).values
     bc = np.cumsum(circ, axis=1)
     bh = np.cumsum(chol, axis=1)

@@ -161,6 +161,22 @@ def test_estimate_missing_file_exits_2(capsys):
     assert run_cli(["estimate", "--in", "/nonexistent/path.csv"]) == 2
 
 
+def _not_utf8(tmp_path, head):
+    # a valid UTF-8 head, then a byte no UTF-8 text contains
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(head.encode() + b"\xff\n")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+def test_estimate_unreadable_input_exits_2(tmp_path, capsys, kind):
+    text = (DATA / "golden_path.csv").read_text()
+    path = tmp_path if kind == "directory" else _not_utf8(tmp_path, text)
+    assert run_cli(["estimate", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: path CSV") and kind in err
+
+
 def test_theory_json_keys(capsys):
     args = ["theory", "--theta", "1.0", "--hurst", "0.7", "--n", "1000", "--gamma", "0.6"]
     assert run_cli(args) == 0
@@ -350,6 +366,15 @@ def test_mc_nonpositive_threads_exits_2(tmp_path, capsys, monkeypatch, threads):
     assert "worker count" in capsys.readouterr().err
     monkeypatch.setenv("FOU_THREADS", threads)
     assert run_cli(["mc", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+def test_mc_unreadable_config_exits_2(tmp_path, capsys, kind):
+    cfg = _mc_config(tmp_path)
+    path = tmp_path if kind == "directory" else _not_utf8(tmp_path, cfg.read_text())
+    assert run_cli(["mc", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: mc config") and kind in err
 
 
 def test_mc_malformed_json_exits_2(tmp_path, capsys):

@@ -59,6 +59,17 @@ def test_autocov_tail_power_law():
     assert increment_autocov(grid, k) == pytest.approx(expect, rel=1e-5)
 
 
+def test_autocov_large_lags_against_mpmath():
+    # step^(2H) ((k+1)^(2H) - 2 k^(2H) + (k-1)^(2H)) / 2 at 40 digits
+    h, step = 0.7, 0.3
+    grid = FbmGrid(step=step, count=8, hurst=h)
+    for k in (6, 100, 8000, 10**6):
+        with mpmath.workdps(40):
+            p, km = mpmath.mpf(2 * h), mpmath.mpf(k)
+            ref = mpmath.mpf(step) ** p * ((km + 1) ** p - 2 * km**p + (km - 1) ** p) / 2
+            assert abs(increment_autocov(grid, k) - ref) <= 1e-13 * ref, k
+
+
 def test_autocov_consistent_with_fbm_covariance():
     # rho(k) = Cov(B_{(k+1)d} - B_{kd}, B_d) from the fBm covariance function
     h, d = 0.65, 0.3

@@ -1,0 +1,76 @@
+"""Import guard: fracou loads each scipy subpackage only when a call needs it.
+
+Every check runs in a fresh interpreter, since this process has scipy loaded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fracou
+
+SRC = str(Path(fracou.__file__).resolve().parents[1])
+GOLDEN = str(Path(__file__).parent / "data" / "golden_path.csv")
+
+#: prints the scipy subpackages loaded so far as a JSON list; `scipy` itself
+#: and its private and plain modules (`scipy._lib`, `scipy.version`) do not count
+_LOADED = """
+import json, sys
+def loaded():
+    names = {m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}
+    return sorted(
+        name for name in names
+        if not name.startswith("_") and hasattr(sys.modules["scipy." + name], "__path__")
+    )
+"""
+
+
+def _run(code: str) -> list:
+    """The JSON lines the snippet prints, run after `_LOADED` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED + code],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def test_import_loads_no_scipy():
+    code = "import fracou.cli\nprint(json.dumps([m for m in sys.modules if m.startswith('scipy')]))"
+    assert _run(code) == [[]]
+
+
+def test_estimate_loads_no_scipy():
+    code = (
+        "import contextlib, io\n"
+        "from fracou import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['estimate', '--in', {GOLDEN!r}]) == 0\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))"
+    )
+    assert _run(code) == [[]]
+
+
+def test_theory_asymptotic_loads_only_special():
+    code = (
+        "import contextlib, io\n"
+        "from fracou import cli\n"
+        "args = ['theory', '--theta', '1', '--hurst', '0.7', '--n', '1000', '--gamma', '0.6']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(args) == 0\n"
+        "print(json.dumps(loaded()))"
+    )
+    assert _run(code) == [["special"]]
+
+
+def test_signal_loads_with_the_first_path():
+    code = (
+        "from fracou.fbm import RngSeed\n"
+        "from fracou.fou import ModelParams, SamplingScheme, simulate_path\n"
+        "print(json.dumps(loaded()))\n"
+        "simulate_path(ModelParams(1.0, 0.7), SamplingScheme(64, 0.1), RngSeed(7))\n"
+        "print(json.dumps('signal' in loaded()))"
+    )
+    assert _run(code) == [[], True]

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracou
 from fracou import lse, theory
 from fracou.errors import ConsistencyError, DegeneratePathError, DomainError
 from fracou.fbm import FbmGrid, IncrementSeries, RngSeed
@@ -70,6 +75,14 @@ def test_path_near_float_max_estimates_without_warning():
     assert res.theta_hat == lse.estimate_series(x * 2.0**-1000, 0.1).theta_hat
 
 
+def test_sums_overflowing_across_chunks_are_rescaled():
+    # each 2^13-element partial sum of x_i^2 is finite, their total is not
+    x = 1.3e152 * np.cos(np.arange(3 * 2**13))
+    res = lse.estimate_series(x, 0.1)
+    assert res.theta_hat == lse.estimate_series(x * 2.0**-600, 0.1).theta_hat
+    assert math.isfinite(res.numerator) and math.isfinite(res.denominator)
+
+
 def test_estimator_components_consistent():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(50)
@@ -95,6 +108,30 @@ def test_sums_match_fsum(n):
                 den = scheme.delta * math.fsum(prev * prev)
                 assert res.numerator == pytest.approx(num, rel=1e-13, abs=0)
                 assert res.denominator == pytest.approx(den, rel=1e-13, abs=0)
+
+
+def test_theta_hat_does_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot of more than about 1e4 elements across its
+    # threads; at n = 20000 this path's theta_hat differed in the last bit
+    # between one thread and two before the sums were chunked
+    code = (
+        "from fracou import lse\n"
+        "from fracou.fbm import RngSeed\n"
+        "from fracou.fou import ModelParams, SamplingScheme, simulate_path\n"
+        "scheme = SamplingScheme.from_gamma(20000, 0.6)\n"
+        "path = simulate_path(ModelParams(1.0, 0.7), scheme, RngSeed(1, 0))\n"
+        "print(repr(lse.estimate(path).theta_hat))\n"
+    )
+    src = str(Path(fracou.__file__).resolve().parents[1])
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        outputs.add(done.stdout)
+    assert len(outputs) == 1, outputs
 
 
 def test_estimate_matches_estimate_series():

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from fracou.errors import DomainError
-from fracou.specialfn import gamma, lower_incomplete_gamma, std_normal_cdf
+from fracou.specialfn import (
+    gamma,
+    lower_incomplete_gamma,
+    power_second_difference,
+    std_normal_cdf,
+)
 
 mpmath.mp.dps = 30
 
@@ -93,3 +98,19 @@ def test_std_normal_cdf_symmetry_and_grid():
 def test_std_normal_cdf_rejects_nan():
     with pytest.raises(DomainError):
         std_normal_cdf(float("nan"))
+
+
+def test_power_second_difference_against_mpmath():
+    # the three powers cancel like k^2 eps; the binomial series above lag 6
+    # must hold 1e-13 where they lost up to 1e-8 (lag 2399 at H = 0.6)
+    lags = np.concatenate([np.arange(0.0, 40.0), [5.5, 6.5, 2399.0, 8000.0, 1e5, 1e8]])
+    for hurst in (0.3, 0.55, 0.6, 0.7, 0.9):
+        p = 2.0 * hurst
+        got = power_second_difference(lags, p)
+        with mpmath.workdps(40):
+            pm = mpmath.mpf(p)
+            for k, value in zip(lags, got):
+                km = mpmath.mpf(k)
+                ref = (km + 1) ** pm - 2 * km**pm + abs(km - 1) ** pm
+                assert abs(value - ref) <= 1e-13 * abs(ref), (hurst, k)
+    assert power_second_difference(9.0, 1.4).shape == ()
