@@ -9,7 +9,9 @@ Gaussian noise (fGn) with a closed-form autocovariance.  At theta > 0 they
 are the exponentially weighted increments that drive the fractional
 Ornstein-Uhlenbeck process exactly from one observation to the next; the
 sequence is again stationary and its autocovariance is a one-dimensional
-integral evaluated by quadrature (Cheridito, Kawaguchi & Maejima 2003).
+integral (Cheridito, Kawaguchi & Maejima 2003), evaluated by Gauss-Legendre
+quadrature, with series for the endpoint singularities of lags 0 and 1, in
+numpy alone.
 
 The default sampler is circulant embedding (Davies-Harte) of the Toeplitz
 autocovariance, exact in distribution: each draw scales the m+1 distinct
@@ -35,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, SizeError
-from .specialfn import lower_incomplete_gamma, power_second_difference
+from .specialfn import power_second_difference
 
 __all__ = [
     "FbmGrid",
@@ -54,8 +56,8 @@ NEG_EIG_RTOL = 1e-9
 #: O(m^2) memory guard for the dense Cholesky sampler
 CHOLESKY_MAX_COUNT = 4096
 
-#: theta * step up to which the singular lag-0 and lag-1 terms use adaptive quadrature
-_QUAD_MAX_C = 100.0
+#: theta * step up to which the singular lag-0 and lag-1 terms are summed as series
+_SERIES_MAX_C = 100.0
 
 #: 16-point Gauss-Legendre rule mapped to [0, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -148,21 +150,14 @@ def _weighted_autocov(step, hurst, theta, k):
     # integrand is smooth: 16-point Gauss-Legendre on each panel of width
     # <= 12.5/c over [0, min(1, 45/c)] (beyond that w < e^-45 w(0)), i.e. one
     # panel on [0, 1] for c <= 12.5.  The s^p term of lag 0 and the (1-s)^p
-    # term of lag 1 are integrable endpoint singularities, which the
-    # algebraic-weight rule of quad absorbs up to c = 100; beyond it lag 0 is
-    # an incomplete gamma function and lag 1 needs no special term.
+    # term of lag 1 are integrable endpoint singularities, summed as series
+    # up to c = 100; beyond it lag 0 is a gamma function and lag 1 needs no
+    # special term.
     c = theta * step
     p = 2.0 * hurst - 2.0
 
     def weight(s):
         return -np.exp(-c * s) * np.expm1(-2.0 * c * (1.0 - s))
-
-    def singular(a, b):  # int_0^1 s^a (1-s)^b w(s) ds
-        import scipy.integrate
-
-        return scipy.integrate.quad(
-            weight, 0.0, 1.0, weight="alg", wvar=(a, b), epsabs=0.0, epsrel=1e-12, limit=200
-        )[0]
 
     plus = np.zeros_like(k)
     minus = np.zeros_like(k)
@@ -175,19 +170,41 @@ def _weighted_autocov(step, hurst, theta, k):
             plus += wt * (k + s) ** p
             minus += wt * np.abs(k - s) ** p
     if np.any(k == 0.0):
-        # int_0^1 s^p e^(-c s) ds = c^(-p-1) gamma(p+1, c); the e^(-c(2-s)) part
-        # is below e^-100 of it, and quad would miss the peak of width 1/c
-        if c > _QUAD_MAX_C:
-            lag0 = c ** (-p - 1.0) * lower_incomplete_gamma(p + 1.0, c)
+        # int_0^1 s^p e^(-c s) ds = c^(-p-1) (Gamma(p+1) - Gamma(p+1, c)); for
+        # c > 100 the upper gamma and the e^(-c(2-s)) part are below e^-100 of it
+        if c > _SERIES_MAX_C:
+            lag0 = c ** (-p - 1.0) * math.gamma(p + 1.0)
         else:
-            lag0 = singular(p, 0.0)
+            lag0 = _singular_moment(c, p, 0)
         plus[k == 0.0] = minus[k == 0.0] = lag0
-    if np.any(k == 1.0) and c <= _QUAD_MAX_C:
+    if np.any(k == 1.0) and c <= _SERIES_MAX_C:
         # for larger c the panels end at 45/c < 1, short of the (1-s)^p singularity
-        minus[k == 1.0] = singular(0.0, p)
+        minus[k == 1.0] = _singular_moment(c, p, 1)
     return hurst * (2.0 * hurst - 1.0) * step ** (2.0 * hurst - 1.0) / (2.0 * theta) * (
         plus + minus
     )
+
+
+def _singular_moment(c: float, p: float, lag: int) -> float:
+    """int_0^1 s^p w(s) ds at lag 0 and int_0^1 (1-s)^p w(s) ds at lag 1.
+
+    With w(s) = 2 e^(-c) sinh(c(1-s)), the sinh series integrates term by
+    term into sums of positive terms, which lose no digits to cancellation:
+        lag 0: 2 e^(-c) sum_{j odd} c^j Gamma(p+1) / Gamma(p+j+2),
+        lag 1: 2 e^(-c) sum_{j odd} c^j / (j! (p+j+1)).
+    The terms peak near j = c and are summed until they fall below 1e-17 of
+    the sum: about 10 terms at c = 1 and 100 at c = 100.
+    """
+    term = c / ((p + 1.0) * (p + 2.0)) if lag == 0 else c / (p + 2.0)
+    total, j = 0.0, 1
+    while term > 1e-17 * total:
+        total += term
+        if lag == 0:
+            term *= c * c / ((p + j + 2.0) * (p + j + 3.0))
+        else:
+            term *= c * c * (p + j + 1.0) / ((j + 1.0) * (j + 2.0) * (p + j + 3.0))
+        j += 2
+    return 2.0 * math.exp(-c) * total
 
 
 @lru_cache(maxsize=16)

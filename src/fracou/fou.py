@@ -10,10 +10,13 @@ t_i = i delta it obeys, exactly,
 and xi_0, xi_1, ... is a stationary Gaussian sequence (Cheridito, Kawaguchi
 & Maejima 2003).  By default xi is drawn exactly by circulant embedding on
 the observation grid (`FbmGrid(delta, n, H, theta)`) and the recursion runs
-as one `lfilter` at step delta, so the path has the exact law of the fOU
-process at the observation times.  `simulate_paths` draws the paths of a
+at step delta, so the path has the exact law of the fOU process at the
+observation times.  The recursion is a blocked prefix scan (Blelloch 1990):
+per block of L steps, a^l times the cumulative sum of a^-l xi, then the
+carries between blocks by doubling passes; L depends on theta delta and n
+only, never on the number of rows.  `simulate_paths` draws the paths of a
 block of consecutive Philox streams together, with one batched `irfft` and
-one `lfilter` along the rows; `simulate_path` is its one-row case, so a row
+one recursion along the rows; `simulate_path` is its one-row case, so a row
 of a block equals the single path of its stream bit for bit.
 
 The `increments=` hook keeps the exponential-Euler scheme as a reference:
@@ -24,13 +27,14 @@ X_{t+d} = e^(-theta d) X_t + dB is aggregated per observation step,
 
 which carries an O(d^H) scheme error that vanishes as M grows.
 
-scipy loads on first use: `scipy.signal` with the first path, and
-`scipy.integrate` with the first `exact_second_moment`, so that reading
-and estimating a path CSV needs numpy only.
+Drawing a path needs numpy only; `scipy.integrate` loads with the first
+`exact_second_moment`.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +55,11 @@ __all__ = [
 
 #: guard on the number of observation steps per path
 MAX_STEPS = 2**23
+
+#: bound on theta * delta * L for a block of L recursion steps: its weights
+#: a^-l stay below e^64 ~ 6e27, far inside the float range for any increment
+#: below 1e280, and a path of n = 8000 at delta = n^-0.6 is one block
+_BLOCK_DECAY = 64.0
 
 
 @dataclass
@@ -161,7 +170,7 @@ def simulate_paths(
     (seed, first_stream + r), bit for bit the `simulate_path` of that stream;
     `fallback` says whether the Cholesky sampler drew the increments.
 
-    All rows share one batched draw (`fbm.sample_rows`) and one `lfilter`.
+    All rows share one batched draw (`fbm.sample_rows`) and one recursion.
     """
     check_steps(scheme.n)
     grid = FbmGrid(step=scheme.delta, count=scheme.n, hurst=params.hurst, theta=params.theta)
@@ -170,15 +179,53 @@ def simulate_paths(
 
 
 def _recurse(params, scheme, xi):
-    import scipy.signal
-
-    # x[:, i+1] = a x[:, i] + xi[:, i], seeded with x[:, 0] = x0; the
-    # coefficient is np.exp, which can differ from math.exp in the last bit
-    x = np.empty((xi.shape[0], scheme.n + 1))
+    # x[:, i+1] = a x[:, i] + xi[:, i], seeded with x[:, 0] = x0, as a blocked
+    # prefix scan: within a block of L steps x_l = a^l (cumsum(a^-l y)_l + carry),
+    # the carry being a times the last value of the block before.  The
+    # coefficient is np.exp, which can differ from math.exp in the last bit.
+    rows, n = xi.shape
+    a = float(np.exp(-params.theta * scheme.delta))
+    size, up, down, jumps = _block_weights(a, n + 1)
+    x = np.empty((rows, up.size))
     x[:, 0] = params.x0
-    x[:, 1:] = xi
-    a = np.exp(-params.theta * scheme.delta)
-    return scipy.signal.lfilter([1.0], [1.0, -a], x, axis=1)
+    np.multiply(xi, up[1 : n + 1], out=x[:, 1 : n + 1])
+    x[:, n + 1 :] = 0.0
+    blocks = x.reshape(rows, up.size // size, size)
+    np.cumsum(blocks, axis=2, out=blocks)
+    if blocks.shape[1] > 1:
+        # carry_b = a e_b + a^L carry_{b-1}, e_b the last value of block b
+        # from a zero start, by doubling: the pass of span s adds
+        # a^(L s) carry_{b-s}, after which carry_b sums 2s blocks
+        carry = blocks[:, :-1, -1] * a**size
+        for k, jump in enumerate(jumps):
+            carry[:, 2**k :] += jump * carry[:, : -(2**k)]
+        blocks[:, 1:] += carry[:, :, None]
+    x *= down
+    return x[:, : n + 1]
+
+
+@lru_cache(maxsize=16)
+def _block_weights(a: float, points: int):
+    """(L, up, down, jumps) of the block recursion over `points` values at
+    coefficient a.  Blocks are as equal as the padding of the last one
+    allows, each of L >= 1 steps with a^L >= e^-_BLOCK_DECAY where possible;
+    up and down are a^-l and a^l, l = 0..L-1, tiled over the blocks; jumps
+    are a^(L 2^k) for each doubling pass, until 2^k spans the carries or the
+    power underflows to 0."""
+    rate = -math.log(a) if a > 0.0 else math.inf
+    longest = points if rate * points <= _BLOCK_DECAY else max(1, int(_BLOCK_DECAY / rate))
+    count = -(-points // longest)
+    size = -(-points // count)
+    lag = np.arange(size)
+    up = np.tile(a**-lag, count)
+    down = np.tile(a**lag, count)
+    up.setflags(write=False)
+    down.setflags(write=False)
+    jumps, jump = [], a**size
+    while 2 ** len(jumps) < count - 1 and jump > 0.0:
+        jumps.append(jump)
+        jump *= jump
+    return size, up, down, tuple(jumps)
 
 
 def exact_second_moment(params: ModelParams, t: float) -> float:

@@ -5,12 +5,12 @@ The replications of a scheme are cut into blocks of consecutive streams of
 at most BLOCK_POINTS path points (16 replications at n = 500, 1 at
 n = 8000), so that a block's arrays stay in cache.  `run_block` draws a
 block with one Philox generator re-keyed per stream, one batched irfft and
-one lfilter, then takes the estimator sums row by row; each theta_hat is
-bit for bit that of the single-path simulate -> estimate pipeline.  A pool
-receives whole blocks, a few per worker, and returns them in stream order,
-and all reductions happen on the stream-ordered array in one thread, so
-runs are bitwise reproducible for any worker count.  The pool never starts
-more workers than there are blocks or usable CPUs.
+one recursion along the rows, then takes the estimator sums row by row;
+each theta_hat is bit for bit that of the single-path simulate -> estimate
+pipeline.  A pool receives whole blocks, a few per worker, and returns
+them in stream order, and all reductions happen on the stream-ordered array
+in one thread, so runs are bitwise reproducible for any worker count.  The
+pool never starts more workers than there are blocks or usable CPUs.
 """
 
 import math

@@ -198,6 +198,26 @@ def test_weighted_autocov_extreme_decay_matches_mpmath(decay):
             assert got[0] == pytest.approx(limit, rel=1e-14)
 
 
+@pytest.mark.parametrize("lag", [0, 1])
+def test_singular_moments_match_mpmath(lag):
+    # int_0^1 s^p w(s) ds (lag 0) and int_0^1 (1-s)^p w(s) ds (lag 1) against
+    # Kummer's function at 40 digits: int_0^1 s^p e^(bs) ds = M(p+1, p+2, b)/(p+1).
+    # H = 0.51 is the hard case for a quadrature rule: s^p = s^-0.98 is barely integrable.
+    cs = [1e-12, 1e-8, 1e-4, 1e-3, 0.0046, 0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100]
+    for h in (0.51, 0.55, 0.6, 0.7, 0.8, 0.9, 0.99):
+        for c in cs:
+            with mpmath.workdps(40):
+                cm, pm = mpmath.mpf(c), 2 * mpmath.mpf(h) - 2
+                down = mpmath.hyp1f1(pm + 1, pm + 2, -cm) / (pm + 1)
+                up = mpmath.hyp1f1(pm + 1, pm + 2, cm) / (pm + 1)
+                if lag == 0:  # w(s) = e^(-cs) - e^(-2c) e^(cs)
+                    ref = down - mpmath.exp(-2 * cm) * up
+                else:  # w(1-v) = e^(-c) (e^(cv) - e^(-cv))
+                    ref = mpmath.exp(-cm) * (up - down)
+            got = fbm._singular_moment(c, 2 * h - 2, lag)
+            assert abs(got - ref) <= 1e-12 * ref, (h, c)
+
+
 def test_weighted_autocov_tends_to_fgn():
     lags = np.arange(200)
     for h in (0.51, 0.7, 0.99):
@@ -218,12 +238,9 @@ def test_weighted_embedding_positive_across_sizes(theta):
 def test_weighted_circulant_vs_cholesky_same_law():
     h, d, count, n = 0.7, 0.2, 64, 4000
     grid = FbmGrid(step=d, count=count, hurst=h, theta=1.0)
-    circ = np.empty((n, count))
-    chol = np.empty((n, count))
-    for r in range(n):
-        circ[r] = sample_circulant(grid, RngSeed(13, r)).values
-        chol[r] = sample_cholesky(grid, RngSeed(14, r)).values
-    assert not sample_circulant(grid, RngSeed(13, 0)).fallback
+    circ, fallback = sample_rows(grid, 13, 0, n)
+    chol = fbm._cholesky_rows(grid, 14, 0, n)
+    assert not fallback
     bc = np.cumsum(circ, axis=1)
     bh = np.cumsum(chol, axis=1)
     for j in (0, 15, 31, 63):
@@ -238,7 +255,7 @@ def test_weighted_lagwise_autocov_zscores():
     # 3.5 standard errors of c(k) at every lag
     count, n = 64, 20000
     grid = FbmGrid(step=0.25, count=count, hurst=0.65, theta=1.5)
-    draws = np.array([sample_circulant(grid, RngSeed(8, r)).values for r in range(n)])
+    draws, _ = sample_rows(grid, 8, 0, n)
     lags = np.arange(count)
     per_draw = np.array(
         [np.mean(draws[:, : count - k] * draws[:, k:], axis=1) for k in lags]
@@ -387,9 +404,7 @@ def test_single_increment_marginal_variance():
     # sample variance of a chi-square with 1 dof per draw
     h, d, n = 0.7, 0.25, 20000
     grid = FbmGrid(step=d, count=1, hurst=h)
-    vals = np.array(
-        [sample_circulant(grid, RngSeed(99, r)).values[0] for r in range(n)]
-    )
+    vals = sample_rows(grid, 99, 0, n)[0][:, 0]
     var = d ** (2 * h)
     se = var * np.sqrt(2.0 / (n - 1))
     assert abs(np.var(vals, ddof=1) - var) <= 3 * se
@@ -400,9 +415,8 @@ def test_empirical_covariance_matches_fbm_kernel():
     # E[B_t B_s] on a small grid vs the fBm covariance, 3-sigma entrywise
     h, d, count, n = 0.65, 0.5, 8, 20000
     grid = FbmGrid(step=d, count=count, hurst=h)
-    paths = np.empty((n, count + 1))
-    for r in range(n):
-        paths[r] = partial_sums(sample_circulant(grid, RngSeed(123, r)))
+    paths = np.zeros((n, count + 1))
+    np.cumsum(sample_rows(grid, 123, 0, n)[0], axis=1, out=paths[:, 1:])
     t = d * np.arange(count + 1)
     prod = paths[:, :, None] * paths[:, None, :]
     mean = prod.mean(axis=0)
@@ -416,11 +430,8 @@ def test_circulant_vs_cholesky_same_law():
     # two-sample KS on a few marginals of the partial sums
     h, d, count, n = 0.6, 0.2, 64, 4000
     grid = FbmGrid(step=d, count=count, hurst=h)
-    circ = np.empty((n, count))
-    chol = np.empty((n, count))
-    for r in range(n):
-        circ[r] = sample_circulant(grid, RngSeed(11, r)).values
-        chol[r] = sample_cholesky(grid, RngSeed(12, r)).values
+    circ, _ = sample_rows(grid, 11, 0, n)
+    chol = fbm._cholesky_rows(grid, 12, 0, n)
     bc = np.cumsum(circ, axis=1)
     bh = np.cumsum(chol, axis=1)
     for j in (0, 15, 31, 63):

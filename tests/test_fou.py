@@ -6,8 +6,9 @@ import pytest
 import scipy.signal
 import scipy.stats
 
+from fracou import fou
 from fracou.errors import DomainError, SizeError
-from fracou.fbm import FbmGrid, IncrementSeries, RngSeed, sample_circulant
+from fracou.fbm import FbmGrid, IncrementSeries, RngSeed, sample_circulant, sample_rows
 from fracou.fou import (
     ModelParams,
     ObservedPath,
@@ -15,6 +16,7 @@ from fracou.fou import (
     exact_second_moment,
     read_path_csv,
     simulate_path,
+    simulate_paths,
     write_path_csv,
 )
 
@@ -68,6 +70,20 @@ def test_noiseless_path_is_exact_exponential_decay():
     assert path.x[10] == pytest.approx(math.exp(-1.0), rel=1e-14)
 
 
+def test_large_start_decays_exactly_across_blocks():
+    # at theta delta = 1 a block holds at most 64 steps; the carries must keep
+    # x0 e^(-t) in every later block, though it falls below 2^-60 x0 after
+    # the first, since it stays far above the (here zero) noise
+    x0 = 1e30
+    params = ModelParams(theta=1.0, hurst=0.7, x0=x0)
+    scheme = SamplingScheme(n=300, delta=1.0, oversample=1)
+    path = simulate_path(
+        params, scheme, RngSeed(0), increments=_zero_increments(scheme, params.hurst)
+    )
+    expect = x0 * np.exp(-np.arange(scheme.n + 1.0))
+    assert np.max(np.abs(path.x - expect) / expect) <= 1e-13
+
+
 def test_determinism_and_meta():
     scheme = SamplingScheme(n=64, delta=0.1, oversample=4)
     a = simulate_path(PARAMS, scheme, RngSeed(5, 2))
@@ -83,7 +99,7 @@ def test_determinism_and_meta():
 
 
 def test_path_equals_manual_recursion():
-    # the lfilter path must agree with the elementwise recursion
+    # the block recursion must agree with the elementwise recursion
     scheme = SamplingScheme(n=32, delta=0.125, oversample=4)
     params = ModelParams(theta=0.8, hurst=0.65, x0=0.5)
     fine = FbmGrid(scheme.fine_step, scheme.n * scheme.oversample, params.hurst)
@@ -124,6 +140,25 @@ def test_block_recursion_matches_fine_grid_reference(oversample):
         assert np.max(np.abs(path.x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("c", [1e-12, 1e-4, 0.0046, 0.1, 1.0, 50.0, 1e4])
+def test_block_recursion_matches_lfilter(c):
+    # lfilter is the oracle of x_{i+1} = a x_i + xi_i, a = e^-c; every row of
+    # a 16-row block keeps the bits of its one-row recursion
+    rng = np.random.default_rng(7)
+    for n in (2, 500, 8000, 2**17):
+        scheme = SamplingScheme(n=n, delta=c)
+        for x0 in (0.0, 2.5):
+            params = ModelParams(theta=1.0, hurst=0.7, x0=x0)
+            xi = 0.01 * rng.standard_normal((16, n))
+            y = np.concatenate([np.full((16, 1), x0), xi], axis=1)
+            ref = scipy.signal.lfilter([1.0], [1.0, -np.exp(-c)], y, axis=1)
+            got = fou._recurse(params, scheme, xi)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (n, x0)
+            for r in range(16):
+                one = fou._recurse(params, scheme, xi[r : r + 1])[0]
+                assert np.array_equal(got[r], one), (n, x0, r)
+
+
 def test_exact_second_moment_small_time_and_x0():
     params = ModelParams(theta=1.0, hurst=0.7, x0=1.0)
     assert exact_second_moment(params, 1e-8) == pytest.approx(1.0, abs=1e-6)
@@ -155,15 +190,18 @@ def test_exact_second_moment_small_theta(theta, hurst):
     assert got == pytest.approx(t ** (2.0 * hurst), rel=1e-9)
 
 
+def _injected_path(params, scheme, fine, values):
+    """The exponential-Euler path of one row of fine-grid fGn."""
+    incs = IncrementSeries(grid=fine, values=values, method="injected")
+    return simulate_path(params, scheme, RngSeed(0), increments=incs).x
+
+
 def test_simulated_second_moment_matches_quadrature():
     # E[X_T^2] from 4000 simulated paths vs exact_second_moment, 3.5 sigma
     scheme = SamplingScheme(n=50, delta=0.1, oversample=4)
     t_end = scheme.horizon
     n_rep = 4000
-    vals = np.empty(n_rep)
-    for r in range(n_rep):
-        vals[r] = simulate_path(PARAMS, scheme, RngSeed(31, r)).x[-1]
-    sq = vals**2
+    sq = simulate_paths(PARAMS, scheme, 31, 0, n_rep)[0][:, -1] ** 2
     expect = exact_second_moment(PARAMS, t_end)
     se = sq.std(ddof=1) / math.sqrt(n_rep)
     assert abs(sq.mean() - expect) <= 3.5 * se
@@ -179,11 +217,10 @@ def test_oversampling_converges_to_exact_law():
     for m in (1, 4, 16):
         scheme = SamplingScheme(n=20, delta=0.1, oversample=m)
         fine = FbmGrid(scheme.fine_step, scheme.n * m, PARAMS.hurst)
-        sq = np.empty(n_rep)
-        for r in range(n_rep):
-            seed = RngSeed(57 + m, r)
-            incs = sample_circulant(fine, seed)
-            sq[r] = simulate_path(PARAMS, scheme, seed, increments=incs).x[-1] ** 2
+        sq = np.array([
+            _injected_path(PARAMS, scheme, fine, row)[-1] ** 2
+            for row in sample_rows(fine, 57 + m, 0, n_rep)[0]
+        ])
         bias.append(abs(sq.mean() - expect))
     assert bias[2] < bias[0]
 
@@ -197,13 +234,11 @@ def test_exact_path_matches_fine_reference_law():
     scheme = SamplingScheme(n=8, delta=0.5, oversample=64)
     fine = FbmGrid(scheme.fine_step, scheme.n * 64, params.hurst)
     n_rep = 4000
-    exact = np.empty((n_rep, 2))
-    ref = np.empty((n_rep, 2))
-    for r in range(n_rep):
-        exact[r] = simulate_path(params, scheme, RngSeed(61, r)).x[-2:]
-        seed = RngSeed(62, r)
-        incs = sample_circulant(fine, seed)
-        ref[r] = simulate_path(params, scheme, seed, increments=incs).x[-2:]
+    exact = simulate_paths(params, scheme, 61, 0, n_rep)[0][:, -2:]
+    ref = np.array([
+        _injected_path(params, scheme, fine, row)[-2:]
+        for row in sample_rows(fine, 62, 0, n_rep)[0]
+    ])
     for stat in (lambda v: v[:, 1], lambda v: v[:, 0] * v[:, 1]):
         assert scipy.stats.ks_2samp(stat(exact), stat(ref)).pvalue > 1e-3
 

@@ -65,12 +65,35 @@ def test_theory_asymptotic_loads_only_special():
     assert _run(code) == [["special"]]
 
 
-def test_signal_loads_with_the_first_path():
+def test_simulate_loads_no_scipy(tmp_path):
+    # the draw path is numpy only, also at theta * delta = 1e300, where lag 0
+    # of the increment autocovariance is a gamma function and a = 0
+    out = str(tmp_path / "path.csv")
     code = (
+        "from fracou import cli\n"
         "from fracou.fbm import RngSeed\n"
         "from fracou.fou import ModelParams, SamplingScheme, simulate_path\n"
-        "print(json.dumps(loaded()))\n"
         "simulate_path(ModelParams(1.0, 0.7), SamplingScheme(64, 0.1), RngSeed(7))\n"
-        "print(json.dumps('signal' in loaded()))"
+        "for delta in ('0.05', '1e300'):\n"
+        "    args = ['simulate', '--theta', '1', '--hurst', '0.7', '--n', '300',\n"
+        f"            '--delta', delta, '--out', {out!r}]\n"
+        "    assert cli.main(args) == 0\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))"
     )
-    assert _run(code) == [[], True]
+    assert _run(code) == [[]]
+
+
+def test_mc_loads_only_special(tmp_path):
+    config = tmp_path / "mc.json"
+    config.write_text(json.dumps({
+        "theta": 1.0, "hurst": 0.6, "replications": 100, "seed": 3,
+        "schedule": [{"n": 64, "delta": 0.25}], "out_json": str(tmp_path / "mc_out.json"),
+    }))
+    code = (
+        "import contextlib, io\n"
+        "from fracou import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['mc', {str(config)!r}, '--threads', '1']) == 0\n"
+        "print(json.dumps(loaded()))"
+    )
+    assert _run(code) == [["special"]]

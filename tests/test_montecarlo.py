@@ -4,7 +4,6 @@ import os
 
 import numpy as np
 import pytest
-import scipy.signal
 
 from fracou import fbm, fou, lse, montecarlo
 from fracou.errors import ConfigError, DomainError, ReplicationError
@@ -217,10 +216,8 @@ def test_block_fallback_rows_match_sample_cholesky(monkeypatch):
     theta_hats = montecarlo.run_block(params, scheme, 5, 40, 7)
     assert fallback
     for r in range(7):
-        x = np.empty(17)
-        x[0] = 1.5
-        x[1:] = sample_cholesky(grid, RngSeed(5, 40 + r)).values
-        x = scipy.signal.lfilter([1.0], [1.0, -np.exp(-0.25)], x)
+        xi = sample_cholesky(grid, RngSeed(5, 40 + r)).values
+        x = fou._recurse(params, scheme, xi[None])[0]
         assert np.array_equal(paths[r], x)
         assert theta_hats[r] == lse.estimate_series(x, 0.25).theta_hat
 
