@@ -14,7 +14,15 @@ import numpy as np
 
 from .errors import DomainError, SizeError
 from .fou import ModelParams, SamplingScheme
-from .specialfn import gamma, lower_incomplete_gamma, power_second_difference
+from .specialfn import (
+    GAMMA_CUTOFF,
+    HEAD_NODES,
+    gamma,
+    gamma_body_rule,
+    gauss_jacobi,
+    lower_incomplete_gamma,
+    power_second_difference,
+)
 
 __all__ = [
     "TheoryConstants",
@@ -35,7 +43,8 @@ __all__ = [
 ]
 
 #: size guard for the 4-D variance quadrature: at T = 50 its two meshes have 1200
-#: and 2400 cells, about 20 ms and 0.3 MB per call (O(cells^2) time, O(cells) memory)
+#: and 2400 cells, about 9 ms (one Intel Xeon core) and 0.3 MB per call
+#: (O(cells^2) time, O(cells) memory)
 EF2_MAX_HORIZON = 50.0
 
 #: sources of E(F_T^2) in lambda_n: the limit A(theta, H) or the finite-T quadrature
@@ -101,35 +110,39 @@ def alpha_n(params: ModelParams, horizon: float) -> float:
 
 
 def alpha_n_quadrature(params: ModelParams, horizon: float) -> float:
-    """alpha by iterated adaptive quadrature of the defining double integral.
+    """alpha by a fixed product rule for the iterated defining integral.
 
-    Independent cross-check of the closed form: the inner integral uses an
-    algebraic-weight rule for the u^(2H-2) endpoint singularity, the outer
-    integral a plain adaptive rule.
+    Independent cross-check of the closed form: it never calls an incomplete
+    gamma function or the Fubini rewrite.  With z = theta u and s = theta t,
+    alpha = H(2H-1) theta^(-2H) K(theta T), where
+    J(s) = int_0^s e^(-z) z^(2H-2) dz and
+    K(S) = int_0^min(S, 45) J(s) ds + (S - 45)^+ J(45).
+    J takes a Gauss-Jacobi panel for the weight z^(2H-2) on [0, min(s, 1)]
+    and Gauss-Legendre on [1, s]; K the same, with the weight s^(2H-1) on
+    its head, since J(s) is s^(2H-1) times an entire function.  All inner
+    points for all outer nodes are one array.  Up to theta T = 1 the result
+    is scaled by T^(2H) rather than theta^(-2H), which keeps it finite and
+    accurate down to theta T = 1e-300.
     """
-    import scipy.integrate
-
     if not (horizon > 0.0 and np.isfinite(horizon)):
         raise DomainError(f"horizon must be positive, got {horizon}")
     th, h = params.theta, params.hurst
+    s = th * horizon
+    z, w = gauss_jacobi(HEAD_NODES, 2.0 * h - 2.0)
 
-    def inner(t):
-        val, _ = scipy.integrate.quad(
-            lambda u: np.exp(-th * u),
-            0.0,
-            t,
-            weight="alg",
-            wvar=(2.0 * h - 2.0, 0.0),
-            epsabs=0.0,
-            epsrel=1e-11,
-            limit=200,
-        )
-        return val
+    def head(sigma):  # J(sigma) / sigma^(2H-1) for sigma <= 1
+        return np.exp(-np.multiply.outer(sigma, z)) @ w
 
-    outer, _ = scipy.integrate.quad(
-        inner, 0.0, horizon, epsabs=0.0, epsrel=1e-10, limit=200
-    )
-    return h * (2.0 * h - 1.0) * outer
+    v, wv = gauss_jacobi(HEAD_NODES, 2.0 * h - 1.0)
+    k = float(wv @ head(min(s, 1.0) * v))
+    if s <= 1.0:
+        return h * (2.0 * h - 1.0) * horizon ** (2.0 * h) * k
+    top = min(s, GAMMA_CUTOFF)
+    sigma, w_sigma = gamma_body_rule(0.0, top)
+    zb, wb = gamma_body_rule(2.0 * h - 2.0, np.append(sigma, top))
+    j = head(1.0) + (wb * np.exp(-zb)).sum(axis=-1)
+    k += float(w_sigma @ j[:-1] + (s - top) * j[-1])
+    return h * (2.0 * h - 1.0) * th ** (-2.0 * h) * k
 
 
 def alpha_limit_rate(params: ModelParams) -> float:

@@ -1,6 +1,8 @@
 import io
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.signal
@@ -188,6 +190,43 @@ def test_exact_second_moment_small_theta(theta, hurst):
     t = 0.1
     got = exact_second_moment(ModelParams(theta=theta, hurst=hurst), t)
     assert got == pytest.approx(t ** (2.0 * hurst), rel=1e-9)
+
+
+def _second_moment_mp(theta, hurst, x0, s):
+    """E[X_t^2] at S = theta t from the confluent hypergeometric closed form,
+    x0^2 e^(-2S) + H theta^(-2H) S^(2H-1) [1F1(2H-1; 2H; -S) - e^(-2S) 1F1(2H-1; 2H; S)],
+    at 40 digits."""
+    with mpmath.workdps(40):
+        th, h, x0, s = (mpmath.mpf(v) for v in (theta, hurst, x0, s))
+        a, b = 2 * h - 1, 2 * h
+        bracket = mpmath.hyp1f1(a, b, -s) - mpmath.exp(-2 * s) * mpmath.hyp1f1(a, b, s)
+        return x0**2 * mpmath.exp(-2 * s) + h * th ** (-2 * h) * s**a * bracket
+
+
+@pytest.mark.parametrize("hurst", [0.51, 0.7, 0.95, 0.99])
+def test_exact_second_moment_against_mpmath(hurst):
+    # both sides of the panel joint at S = 1 and of the cut at S = 45
+    for theta in (0.5, 3.0):
+        for x0 in (0.0, 2.5):
+            params = ModelParams(theta=theta, hurst=hurst, x0=x0)
+            for s in (1e-8, 1e-4, 0.1, 0.999, 1.0, 1.001, 2.0, 7.5, 30.0, 44.9, 45.1, 100.0, 1e3):
+                ref = _second_moment_mp(theta, hurst, x0, s)
+                got = exact_second_moment(params, s / theta)
+                assert abs(got - ref) <= 1e-12 * abs(ref), (theta, x0, s)
+
+
+@pytest.mark.parametrize("theta, t", [(1.0, 1e-300), (1e-150, 1e-150), (1e9, 1.0)])
+def test_exact_second_moment_extreme_theta_t(theta, t):
+    # no RuntimeWarning at theta t = 1e-300 or 1e9; the limits are
+    # x0^2 + t^(2H) as theta t -> 0 and H Gamma(2H) theta^(-2H) as it grows
+    params = ModelParams(theta=theta, hurst=0.7, x0=1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = exact_second_moment(params, t)
+    if theta * t < 1.0:
+        assert got == pytest.approx(2.25 + t**1.4, rel=1e-14)
+    else:
+        assert got == pytest.approx(0.7 * math.gamma(1.4) * theta**-1.4, rel=1e-13)
 
 
 def _injected_path(params, scheme, fine, values):

@@ -65,6 +65,20 @@ def test_theory_asymptotic_loads_only_special():
     assert _run(code) == [["special"]]
 
 
+def test_quadrature_cross_checks_load_no_scipy():
+    # the fixed Gauss-Jacobi rules are numpy only: no scipy.integrate
+    code = (
+        "from fracou import theory\n"
+        "from fracou.fou import ModelParams, exact_second_moment\n"
+        "params = ModelParams(1.0, 0.7, 0.5)\n"
+        "for t in (0.5, 40.0):\n"
+        "    theory.alpha_n_quadrature(params, t)\n"
+        "    exact_second_moment(params, t)\n"
+        "print(json.dumps(loaded()))"
+    )
+    assert _run(code) == [[]]
+
+
 def test_simulate_loads_no_scipy(tmp_path):
     # the draw path is numpy only, also at theta * delta = 1e300, where lag 0
     # of the increment autocovariance is a gamma function and a = 0

@@ -7,6 +7,8 @@ import pytest
 from fracou.errors import DomainError
 from fracou.specialfn import (
     gamma,
+    gamma_body_rule,
+    gauss_jacobi,
     lower_incomplete_gamma,
     power_second_difference,
     std_normal_cdf,
@@ -114,3 +116,40 @@ def test_power_second_difference_against_mpmath():
                 ref = (km + 1) ** pm - 2 * km**pm + abs(km - 1) ** pm
                 assert abs(value - ref) <= 1e-13 * abs(ref), (hurst, k)
     assert power_second_difference(9.0, 1.4).shape == ()
+
+
+@pytest.mark.parametrize("p", [-0.98, -0.6, -0.1, 0.0, 0.02, 0.48])
+@pytest.mark.parametrize("count", [1, 2, 5, 24, 64])
+def test_gauss_jacobi_moments(count, p):
+    # exact for v^k, k < 2 count: int_0^1 v^(p+k) dv = 1/(p+k+1), to 1e-14
+    # relative for the large low moments (50 at p = -0.98) and absolute for
+    # the small high ones, which carry the node rounding times k
+    nodes, weights = gauss_jacobi(count, p)
+    for k in range(2 * count):
+        got = math.fsum(weights * nodes**k)
+        assert got == pytest.approx(1.0 / (p + k + 1.0), rel=1e-14, abs=1e-14), k
+
+
+def test_gauss_jacobi_nodes_and_cache():
+    nodes, weights = gauss_jacobi(24, -0.6)
+    assert 0.0 < nodes[0] and nodes[-1] < 1.0
+    assert np.all(np.diff(nodes) > 0.0) and np.all(weights > 0.0)
+    assert gauss_jacobi(24, -0.6)[0] is nodes
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    for count, p in ((0, 0.5), (4, -1.0), (4, float("nan"))):
+        with pytest.raises(DomainError):
+            gauss_jacobi(count, p)
+
+
+def test_gamma_body_rule_broadcasts_and_integrates():
+    # int_1^u z^q e^(-z) dz for a row of upper ends, against mpmath
+    q = -0.9
+    upper = np.array([1.0, 1.5, 10.0, 45.0])
+    z, w = gamma_body_rule(q, upper)
+    assert z.shape == w.shape == (4, 64)
+    got = (w * np.exp(-z)).sum(axis=-1)
+    for u, val in zip(upper, got):
+        ref = float(mpmath.gammainc(q + 1.0, 1.0, u))
+        assert val == pytest.approx(ref, rel=1e-13, abs=1e-300)

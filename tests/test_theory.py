@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
-from fracou import theory
+from fracou import specialfn, theory
 from fracou.errors import DomainError, SizeError
 from fracou.fbm import RngSeed
 from fracou.fou import ModelParams, SamplingScheme, simulate_path
@@ -27,6 +28,55 @@ def test_alpha_n_closed_form_vs_quadrature_grid():
                 closed = theory.alpha_n(params, t_end)
                 quad = theory.alpha_n_quadrature(params, t_end)
                 assert closed == pytest.approx(quad, rel=1e-7), (th, h, t_end)
+
+
+def _alpha_mp(theta, hurst, horizon):
+    """alpha from the lower incomplete gamma closed form at 40 digits (mpmath's
+    tanh-sinh quadrature of the double integral is 15% off at H = 0.51)."""
+    with mpmath.workdps(40):
+        th, h, t = mpmath.mpf(theta), mpmath.mpf(hurst), mpmath.mpf(horizon)
+        x = th * t
+        val = t * th ** (1 - 2 * h) * mpmath.gammainc(2 * h - 1, 0, x)
+        val -= th ** (-2 * h) * mpmath.gammainc(2 * h, 0, x)
+        return h * (2 * h - 1) * val
+
+
+@pytest.mark.parametrize("theta", [1e-6, 0.5, 1.0, 2.0, 10.0, 1e3, 1e5])
+def test_alpha_n_quadrature_against_mpmath(theta):
+    # includes (1e3, 0.7, 100), where iterated adaptive quadrature was 4e-6 off:
+    # its outer rule missed the layer t < 1/theta
+    for h in (0.51, 0.55, 0.65, 0.7, 0.74):
+        params = ModelParams(theta=theta, hurst=h)
+        for t_end in (1e-6, 1e-3, 0.5, 5.0, 22.4, 40.0, 100.0, 1e4):
+            ref = _alpha_mp(theta, h, t_end)
+            got = theory.alpha_n_quadrature(params, t_end)
+            assert abs(got - ref) <= 1e-12 * abs(ref), (h, t_end)
+
+
+def test_alpha_n_quadrature_is_independent_of_closed_form(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the cross-check must not use the closed form")
+
+    for name in ("gamma", "lower_incomplete_gamma"):
+        monkeypatch.setattr(specialfn, name, refuse)
+        monkeypatch.setattr(theory, name, refuse)
+    with pytest.raises(AssertionError):
+        theory.alpha_n(P17, 10.0)
+    assert theory.alpha_n_quadrature(P17, 10.0) == pytest.approx(5.962415733080749, rel=1e-13)
+
+
+@pytest.mark.parametrize("theta, t_end", [(1e-150, 1e-150), (1e-300, 1.0), (1e9, 1.0)])
+def test_alpha_n_quadrature_extreme_theta_t(theta, t_end):
+    # theta T = 1e-300 and 1e9 raise no RuntimeWarning; at theta T -> 0,
+    # alpha -> T^(2H) / 2, and the closed form agrees at theta T = 1e9
+    params = ModelParams(theta=theta, hurst=0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = theory.alpha_n_quadrature(params, t_end)
+    if theta * t_end < 1.0:
+        assert got == pytest.approx(0.5 * t_end**1.4, rel=1e-12, abs=0.0)
+    else:
+        assert got == pytest.approx(theory.alpha_n(params, t_end), rel=1e-13)
 
 
 def test_alpha_limit_rate_value_and_convergence():
