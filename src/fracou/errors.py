@@ -29,5 +29,3 @@ class DataQualityError(FracouError, RuntimeError):
 class ReplicationError(FracouError, RuntimeError):
     """A Monte Carlo replication failed; the message names its scheme and stream."""
 
-
-ConfigError = DomainError  # kept for importers: a config breaks rules as any input does

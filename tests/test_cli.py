@@ -1,10 +1,11 @@
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
-from fracou import lse, montecarlo
+from fracou import fou, lse, montecarlo
 from fracou.cli import main
 from fracou.fou import read_path_csv
 
@@ -155,6 +156,36 @@ def test_estimate_accepts_times_within_tolerance(tmp_path, capsys):
     # t_40 = 4.000000000000001 is 1e-15 off 40 * 0.1 and still on the grid
     path = _edit_golden_row(tmp_path, 40, 1, "4.000000000000001")
     assert run_cli(["estimate", "--in", str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "",  # header only: no rows for loadtxt
+        "0,0,0\n1,inf,1\n2,0.2,2\n",  # infinite t_1
+        "0,-1e308,0\n1,1e308,1\n2,1.7e308,2\n",  # t_1 - t_0 overflows
+        "0,0,0\n1,1e308,1\n2,1.7e308,2\n",  # 2 * delta overflows
+    ],
+    ids=["header only", "infinite t", "infinite step", "overflowing grid"],
+)
+def test_estimate_rejects_degenerate_csv_with_one_error_line(tmp_path, capsys, body):
+    # exit 2 with fracou's message only: no numpy warning on stderr first
+    path = tmp_path / "path.csv"
+    path.write_text("i,t,x\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["estimate", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_simulate_stdout_matches_file_across_write_blocks(tmp_path, capsys):
+    args = list(SIM_ARGS)
+    args[args.index("--n") + 1] = str(2 * fou._CSV_ROWS + 3)
+    out = tmp_path / "path.csv"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert run_cli(args + ["--out", "-"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def test_estimate_missing_file_exits_2(capsys):

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -316,6 +317,44 @@ def test_csv_roundtrip():
     x, delta = read_path_csv(buf)
     assert delta == pytest.approx(scheme.delta, rel=1e-15)
     assert np.array_equal(x, path.x)  # %.17g is lossless for float64
+
+
+def _reference_csv(path):
+    # the row-at-a-time writer the blocked one must match byte for byte
+    delta = path.scheme.delta
+    rows = (f"{i},{i * delta:.17g},{xi:.17g}\n" for i, xi in enumerate(path.x))
+    return "i,t,x\n" + "".join(rows)
+
+
+@pytest.mark.parametrize("kind", ["simulated", "edge values"])
+def test_csv_bytes_match_row_reference_across_blocks(kind):
+    # two full blocks and part of a third, so every block boundary is crossed
+    n = 2 * fou._CSV_ROWS + 3
+    scheme = SamplingScheme(n=n, delta=n**-0.6)
+    if kind == "simulated":
+        path = simulate_path(PARAMS, scheme, RngSeed(21, 4))
+    else:
+        edge = [0.0, -0.0, 5e-324, -1e300, 1 / 3]
+        path = ObservedPath(PARAMS, scheme, np.resize(np.array(edge), n + 1))
+    buf = io.StringIO()
+    write_path_csv(path, buf)
+    assert buf.getvalue() == _reference_csv(path)
+
+
+def test_csv_write_memory_is_bounded_by_a_block(tmp_path):
+    # one string or list for the whole path at n = 2^17 would take 8 MB or more
+    n = 2**17
+    x = np.random.default_rng(5).standard_normal(n + 1)
+    path = ObservedPath(PARAMS, SamplingScheme(n=n, delta=0.01), x)
+    out = tmp_path / "path.csv"
+    write_path_csv(path, out)  # warm-up: first-use allocations are not the writer's
+    tracemalloc.start()
+    try:
+        write_path_csv(path, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_csv_rejects_bad_header():

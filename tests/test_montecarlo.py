@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracou import fbm, fou, lse, montecarlo
-from fracou.errors import ConfigError, DomainError, ReplicationError
+from fracou.errors import DomainError, ReplicationError
 from fracou.fbm import FbmGrid, RngSeed, sample_cholesky
 from fracou.fou import ModelParams, SamplingScheme, simulate_path
 from fracou.montecarlo import McConfig, ks_to_std_normal
@@ -70,17 +70,17 @@ def test_ks_rejects_bad_input():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         _config(replications=50)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         _config(schedule=[])
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         _config(schedule=[(16, 0.25)])
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         _config(params=ModelParams(theta=1.0, hurst=0.8))
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         _config(gamma=0.9)  # outside the admissible window for H=0.6
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         _config(eta=0.1)  # dlt missing
 
 
@@ -94,10 +94,10 @@ def test_config_last_stream_must_be_a_philox_key():
 
 @pytest.mark.parametrize("threads", [0, -1])
 def test_run_rejects_nonpositive_worker_count(threads, monkeypatch):
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         montecarlo.run(_config(), threads=threads)
     monkeypatch.setenv("FOU_THREADS", str(threads))
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         montecarlo.run(_config())
 
 
