@@ -271,10 +271,13 @@ def write_path_csv(path: ObservedPath, dest) -> None:
     `\\n`: 17 significant digits read back to the same float64, so x and
     t_i = i * delta round-trip exactly.  Rows are formatted and written
     _CSV_ROWS at a time, one join and one write per block, so memory stays
-    bounded for any n.
+    bounded for any n.  A directory as `dest` raises DomainError.
     """
     own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    fh = open(dest, "w", newline="") if own else dest
+    try:
+        fh = open(dest, "w", newline="") if own else dest
+    except IsADirectoryError as exc:
+        raise DomainError(f"path CSV {dest!r} is a directory") from exc
     try:
         fh.write("i,t,x\n")
         delta = path.scheme.delta

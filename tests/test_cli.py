@@ -208,6 +208,14 @@ def test_estimate_unreadable_input_exits_2(tmp_path, capsys, kind):
     assert err.startswith("error: path CSV") and kind in err
 
 
+def test_simulate_to_directory_exits_2(tmp_path, capsys):
+    args = ["simulate", "--theta", "1", "--hurst", "0.7", "--n", "50", "--delta", "0.1"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: path CSV") and "directory" in err
+    assert err.count("\n") == 1
+
+
 def test_theory_json_keys(capsys):
     args = ["theory", "--theta", "1.0", "--hurst", "0.7", "--n", "1000", "--gamma", "0.6"]
     assert run_cli(args) == 0

@@ -65,6 +65,20 @@ def test_theory_asymptotic_loads_only_special():
     assert _run(code) == [["special"]]
 
 
+def test_theory_quadrature_loads_only_special():
+    # the E(F_T^2) quadrature is numpy only: no scipy.linalg or scipy.fft
+    code = (
+        "import contextlib, io\n"
+        "from fracou import cli\n"
+        "args = ['theory', '--theta', '1', '--hurst', '0.7', '--n', '1000', '--gamma', '0.6',\n"
+        "        '--ef2', 'quadrature']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(args) == 0\n"
+        "print(json.dumps(loaded()))"
+    )
+    assert _run(code) == [["special"]]
+
+
 def test_quadrature_cross_checks_load_no_scipy():
     # the fixed Gauss-Jacobi rules are numpy only: no scipy.integrate
     code = (

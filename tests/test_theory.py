@@ -227,6 +227,59 @@ def test_ef2_fixed_mesh_large_theta_h():
     assert got == pytest.approx(_ef2_dense(1e5, 0.6, 10.0, 300), rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("cells", [1, 3, 120, 1200])
+@pytest.mark.parametrize("theta", [1e-10, 100.0])
+def test_ef2_fixed_mesh_matches_dense_oracle_at_extremes(theta, cells):
+    # theta h -> 0, where E tends to a matrix of ones, and theta T = 1000,
+    # where r^N = e^(-theta T) underflows to 0 (at 120 and 1200 cells r does not)
+    for h in (0.51, 0.6, 0.74):
+        got = theory._ef2_fixed_mesh(theta, h, 10.0, cells)
+        ref = _ef2_dense(theta, h, 10.0, cells)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0), h
+
+
+#: decay rates -log r of the E matrices below: r = 0 (e^-800 underflows), 1 - 1e-12, 1/2
+_RATES = [800.0, -math.log1p(-1e-12), math.log(2.0)]
+
+
+@pytest.mark.parametrize("rate", _RATES)
+@pytest.mark.parametrize("cells", [1, 2, 7, 70, 300])
+def test_ew_generators_give_dense_product(rate, cells):
+    # lower triangle C[i, k] = c[i-k] + g r^(i-k) a[k] - g r^(N-1-i) b[k] of C = E W,
+    # upper triangle by persymmetry; 70 and 300 cells span several scan blocks
+    e0, g = theory._exp_cell_weights(rate)
+    w = np.random.default_rng(cells).uniform(0.1, 1.0, cells)
+    ecol = np.append(e0, g * np.exp(-rate * np.arange(cells - 1)))
+    dense = scipy.linalg.toeplitz(ecol) @ scipy.linalg.toeplitz(w)
+    np.testing.assert_allclose(dense, dense[::-1, ::-1], rtol=1e-13, atol=0)
+    c, a, b = theory._ew_generators(e0, g, rate, w)
+    i, k = np.tril_indices(cells)
+    lower = c[i - k] + g * np.exp(-rate * (i - k)) * a[k]
+    lower -= g * np.exp(-rate * (cells - 1 - i)) * b[k]
+    closed = np.zeros((cells, cells))
+    closed[i, k] = lower
+    row, col = np.triu_indices(cells, 1)
+    closed[row, col] = closed[cells - 1 - row, cells - 1 - col]
+    np.testing.assert_allclose(closed, dense, rtol=1e-13, atol=0)
+    trace = theory._trace_ew_square(e0, g, rate, w)
+    assert trace == pytest.approx(np.einsum("ij,ji->", dense, dense), rel=1e-13, abs=0)
+
+
+def test_decay_scan_matches_recursion():
+    # y[m] = r y[m-1] + x[m] with mixed signs, over 1 to 3 block levels
+    rng = np.random.default_rng(5)
+    for rate in (0.0, 1e-3, 0.7, 800.0):
+        for n in (1, 63, 64, 65, 5000):
+            x = rng.standard_normal((2, n))
+            ref = np.empty_like(x)
+            acc = np.zeros(2)
+            for m in range(n):
+                acc = math.exp(-rate) * acc + x[:, m]
+                ref[:, m] = acc
+            got = theory._decay_scan(rate, x)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
 def test_ef2_quadrature_memory_is_linear_in_cells():
     # 2400 fine cells at T = 50: one dense 2400 x 2400 matrix alone is 46 MB
     p = ModelParams(theta=1.0, hurst=0.6)
