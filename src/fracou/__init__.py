@@ -2,7 +2,8 @@
 
 Subpackages
 -----------
-specialfn   gamma / incomplete gamma / normal CDF wrappers, |k|^(2H) second difference
+specialfn   gamma, lower incomplete gamma, normal CDF, |k|^(2H) second difference,
+            Gauss-Jacobi rules
 fbm         exact fGn and weighted-increment sampling (circulant + Cholesky)
 fou         exact fOU paths on the observation grid, the exponential-Euler
             reference, and the exact second-moment quadrature
@@ -11,8 +12,7 @@ theory      closed-form constants, variance quadrature, bound budgets
 montecarlo  replicated pipelines and Kolmogorov-distance measurement
 cli         `fracou` command-line entry point
 
-Importing fracou loads numpy only; each scipy subpackage loads with the
-first call that uses it.
+fracou runs on numpy and the standard library alone: no call loads scipy.
 """
 
 from .fbm import FbmGrid, IncrementSeries, RngSeed

@@ -7,6 +7,7 @@ All randomness flows from explicit seeds; nothing is seeded from the clock.
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import fou, lse, montecarlo, theory
@@ -103,6 +104,8 @@ def _scheme_from_args(args) -> SamplingScheme:
 
 
 def cmd_simulate(args) -> int:
+    """Draw one path and write it as CSV to --out ('-' for stdout).  The file
+    is opened before the draw and removed if the draw or the write fails."""
     params = ModelParams(theta=args.theta, hurst=args.hurst, x0=args.x0)
     if params.hurst >= 0.75:
         print(
@@ -111,11 +114,18 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
     scheme = _scheme_from_args(args)
-    path = fou.simulate_path(params, scheme, RngSeed(args.seed, args.stream))
+    seed = RngSeed(args.seed, args.stream)
     if args.out == "-":
-        fou.write_path_csv(path, sys.stdout)
-    else:
-        fou.write_path_csv(path, args.out)
+        fou.write_path_csv(fou.simulate_path(params, scheme, seed), sys.stdout)
+        return 0
+    # opened before the draw, so an unwritable --out fails before it
+    fh = fou.open_path_csv(args.out, "w")
+    try:
+        with fh:
+            fou.write_path_csv(fou.simulate_path(params, scheme, seed), fh)
+    except BaseException:
+        os.remove(args.out)
+        raise
     return 0
 
 

@@ -225,13 +225,12 @@ def _embedding_spectrum(step: float, count: int, hurst: float, theta: float = 0.
 
 @lru_cache(maxsize=4)
 def _cholesky_factor(step: float, count: int, hurst: float, theta: float):
-    import scipy.linalg
-
     grid = FbmGrid(step, count, hurst, theta)
-    cov = scipy.linalg.toeplitz(increment_autocov(grid, np.arange(count)))
+    lags = np.arange(count)
+    cov = increment_autocov(grid, lags)[np.abs(lags[:, None] - lags)]  # Toeplitz
     try:
-        fac = scipy.linalg.cholesky(cov, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        fac = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
         raise DomainError(f"increment covariance not positive definite: {exc}") from exc
     fac.setflags(write=False)
     return fac
@@ -250,26 +249,29 @@ def sample_circulant(grid: FbmGrid, seed: RngSeed) -> IncrementSeries:
     return IncrementSeries(grid=grid, values=values[0], method=method, fallback=fallback)
 
 
-def sample_rows(grid: FbmGrid, seed: int, first_stream: int, count: int):
+def sample_rows(grid: FbmGrid, seed: int, first_stream: int, count: int, out=None):
     """(values, fallback): row r of `values` is the draw of Philox stream
     (seed, first_stream + r); `fallback` is True when the embedding is
     indefinite and the rows come from the Cholesky factor instead.
 
     The rows share one batched `irfft`, which computes each row as a single
     draw would, so every row equals its own `sample_circulant` bit for bit.
+    `out`, a pair of a complex (count, m + 1) and a float (count, 2m) array,
+    m = grid.count, takes the half-spectrum and the inverse FFT in place of
+    new arrays; `values` is then a view of the second one.
     """
     m = grid.count
     amp = _embedding_spectrum(grid.step, m, grid.hurst, grid.theta)
     if amp is None:
         return _cholesky_rows(grid, seed, first_stream, count), True
+    half, full = (np.empty((count, m + 1), dtype=complex), None) if out is None else out
     # normals fill [re_0, re_m, re_1, im_1, ..., im_{m-1}]; the conjugate makes
     # this the 2m-point FFT of the Hermitian vector; irfft drops im_0 and im_m
-    half = np.empty((count, m + 1), dtype=complex)
     _stream_normals(seed, first_stream, half.view(float)[:, : 2 * m])
     half[:, m] = half[:, 0].imag
     np.conjugate(half, out=half)
     half *= amp
-    return np.fft.irfft(half, n=2 * m, axis=1)[:, :m], False
+    return np.fft.irfft(half, n=2 * m, axis=1, out=full)[:, :m], False
 
 
 def sample_cholesky(grid: FbmGrid, seed: RngSeed) -> IncrementSeries:

@@ -49,7 +49,9 @@ __all__ = [
     "check_steps",
     "simulate_path",
     "simulate_paths",
+    "draw_buffers",
     "exact_second_moment",
+    "open_path_csv",
     "write_path_csv",
     "read_path_csv",
 ]
@@ -168,29 +170,61 @@ def simulate_path(
 
 
 def simulate_paths(
-    params: ModelParams, scheme: SamplingScheme, seed: int, first_stream: int, count: int
+    params: ModelParams,
+    scheme: SamplingScheme,
+    seed: int,
+    first_stream: int,
+    count: int,
+    out=None,
 ):
     """(x, fallback): row r of x is the exact path of Philox stream
     (seed, first_stream + r), bit for bit the `simulate_path` of that stream;
     `fallback` says whether the Cholesky sampler drew the increments.
 
     All rows share one batched draw (`fbm.sample_rows`) and one recursion.
+    `out`, the arrays of `draw_buffers(params, scheme, count)`, takes the
+    draw and the path in place of new arrays; x is then a view of the last
+    one, overwritten by the next draw into them.
     """
     check_steps(scheme.n)
     grid = FbmGrid(step=scheme.delta, count=scheme.n, hurst=params.hurst, theta=params.theta)
-    xi, fallback = sample_rows(grid, seed, first_stream, count)
-    return _recurse(params, scheme, xi), fallback
+    draw, path = (None, None) if out is None else (out[:2], out[2])
+    xi, fallback = sample_rows(grid, seed, first_stream, count, out=draw)
+    return _recurse(params, scheme, xi, out=path), fallback
 
 
-def _recurse(params, scheme, xi):
+def draw_buffers(params: ModelParams, scheme: SamplingScheme, count: int):
+    """(half, full, path): the complex half-spectrum and the real inverse
+    FFT of `fbm.sample_rows` and the padded path array of the recursion, for
+    `count` paths of the scheme: the `out` of `simulate_paths`.
+
+    The size guard comes first, so an oversized scheme raises SizeError
+    before anything is allocated.
+    """
+    check_steps(scheme.n)
+    n = scheme.n
+    points = _block_weights(_decay(params, scheme), n + 1)[1].size
+    return (
+        np.empty((count, n + 1), dtype=complex),
+        np.empty((count, 2 * n)),
+        np.empty((count, points)),
+    )
+
+
+def _decay(params, scheme) -> float:
+    # np.exp, which can differ from math.exp in the last bit
+    return float(np.exp(-params.theta * scheme.delta))
+
+
+def _recurse(params, scheme, xi, out=None):
     # x[:, i+1] = a x[:, i] + xi[:, i], seeded with x[:, 0] = x0, as a blocked
     # prefix scan: within a block of L steps x_l = a^l (cumsum(a^-l y)_l + carry),
-    # the carry being a times the last value of the block before.  The
-    # coefficient is np.exp, which can differ from math.exp in the last bit.
+    # the carry being a times the last value of the block before.  `out`, of
+    # shape (rows, up.size), takes the padded path in place of a new array.
     rows, n = xi.shape
-    a = float(np.exp(-params.theta * scheme.delta))
+    a = _decay(params, scheme)
     size, up, down, jumps = _block_weights(a, n + 1)
-    x = np.empty((rows, up.size))
+    x = np.empty((rows, up.size)) if out is None else out
     x[:, 0] = params.x0
     np.multiply(xi, up[1 : n + 1], out=x[:, 1 : n + 1])
     x[:, n + 1 :] = 0.0
@@ -264,6 +298,15 @@ def exact_second_moment(params: ModelParams, t: float) -> float:
     return start + h * (2.0 * h - 1.0) * th ** (-2.0 * h) * val
 
 
+def open_path_csv(name, mode: str):
+    """The path CSV file `name` opened as UTF-8 text for reading ("r") or
+    writing ("w"); a directory raises DomainError."""
+    try:
+        return open(name, mode, newline="", encoding="utf-8")
+    except IsADirectoryError as exc:
+        raise DomainError(f"path CSV {name!r} is a directory") from exc
+
+
 def write_path_csv(path: ObservedPath, dest) -> None:
     """Write the observed path as CSV with header `i,t,x`.
 
@@ -274,10 +317,7 @@ def write_path_csv(path: ObservedPath, dest) -> None:
     bounded for any n.  A directory as `dest` raises DomainError.
     """
     own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    try:
-        fh = open(dest, "w", newline="") if own else dest
-    except IsADirectoryError as exc:
-        raise DomainError(f"path CSV {dest!r} is a directory") from exc
+    fh = open_path_csv(dest, "w") if own else dest
     try:
         fh.write("i,t,x\n")
         delta = path.scheme.delta
@@ -303,10 +343,7 @@ def read_path_csv(src) -> tuple[np.ndarray, float]:
     A directory, text that is not UTF-8 and malformed rows raise DomainError.
     """
     own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
-    try:
-        fh = open(src, "r", newline="", encoding="utf-8") if own else src
-    except IsADirectoryError as exc:
-        raise DomainError(f"path CSV {src!r} is a directory") from exc
+    fh = open_path_csv(src, "r") if own else src
     try:
         header = next(csv.reader([fh.readline()]), None)
         if header != ["i", "t", "x"]:

@@ -15,6 +15,7 @@ pool never starts more workers than there are blocks or usable CPUs.
 
 import math
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ import numpy as np
 from . import lse, theory
 from .errors import DataQualityError, DegeneratePathError, DomainError, ReplicationError
 from .fbm import RngSeed
-from .fou import ModelParams, SamplingScheme, check_steps, simulate_paths
+from .fou import ModelParams, SamplingScheme, check_steps, draw_buffers, simulate_paths
 from .specialfn import std_normal_cdf
 
 __all__ = ["McConfig", "SchemeResult", "McReport", "ks_to_std_normal", "run", "run_block"]
@@ -170,6 +171,34 @@ def block_rows(n: int) -> int:
     return max(1, BLOCK_POINTS // (n + 1))
 
 
+class _DrawBuffers(threading.local):
+    """The `fou.draw_buffers` arrays of the last block shape, one set per thread."""
+
+    key = None
+    arrays = None
+
+
+_BUFFERS = _DrawBuffers()
+
+
+def _block_buffers(params: ModelParams, scheme: SamplingScheme, count: int):
+    """This thread's draw buffers for the block, sized anew when its shape
+    changes; None for a single path longer than BLOCK_POINTS, which draws
+    into new arrays, so a thread keeps at most about 40 bytes per point of
+    BLOCK_POINTS (330 KB).
+
+    At n = 8000 each array of the draw is just below glibc's 128 KiB mmap
+    and trim thresholds: drawn into new arrays, the heap was trimmed and
+    paged back in after every replication (about 90 page faults each).
+    """
+    if count * (scheme.n + 1) > BLOCK_POINTS:
+        return None
+    key = (count, scheme.n, params.theta, scheme.delta)
+    if _BUFFERS.key != key:
+        _BUFFERS.key, _BUFFERS.arrays = key, draw_buffers(params, scheme, count)
+    return _BUFFERS.arrays
+
+
 def run_block(params: ModelParams, scheme: SamplingScheme, seed: int, first_stream: int,
               count: int) -> np.ndarray:
     """theta_hat of the replications on Philox streams (seed, first_stream + r),
@@ -177,13 +206,17 @@ def run_block(params: ModelParams, scheme: SamplingScheme, seed: int, first_stre
 
     Entry r equals lse.estimate(simulate_path(params, scheme, RngSeed(seed,
     first_stream + r))).theta_hat bit for bit: one batched draw and
-    recursion, then the estimator sums per row.  Any other failure raises
-    ReplicationError naming the scheme, the stream of the failing row (the
-    block's first before the per-row stage) and the block's streams.
+    recursion, then the estimator sums per row.  The draw goes into buffers
+    that the calling thread keeps while the block shape repeats (a
+    `threading.local`, so threads never share them); the size guard runs
+    before they are sized.  Any other failure raises ReplicationError naming
+    the scheme, the stream of the failing row (the block's first before the
+    per-row stage) and the block's streams.
     """
     stream = first_stream
     try:
-        paths, _ = simulate_paths(params, scheme, seed, first_stream, count)
+        out = _block_buffers(params, scheme, count)
+        paths, _ = simulate_paths(params, scheme, seed, first_stream, count, out=out)
         finite = np.isfinite(paths).all(axis=1)
         if not finite.all():
             stream = first_stream + int(np.argmin(finite))

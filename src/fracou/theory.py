@@ -286,7 +286,9 @@ def _trace_ew_square(e0: float, g: float, rate: float, w: np.ndarray) -> float:
     return float(diag @ diag + 2.0 * pairs)
 
 
-def _ef2_fixed_mesh(theta: float, hurst: float, horizon: float, cells: int) -> float:
+def _ef2_fixed_mesh(
+    theta: float, hurst: float, horizon: float, cells: int, second_diff=None
+) -> float:
     """Trace-form product quadrature of the 4-D variance integral.
 
     Both kernel factors are replaced by exact cell-pair integrals on a
@@ -297,12 +299,15 @@ def _ef2_fixed_mesh(theta: float, hurst: float, horizon: float, cells: int) -> f
     integral then collapses to trace(E W E W) with Toeplitz E, W; E has the
     entries e0 and g e^(-theta h (k-1)), so `_trace_ew_square` evaluates it
     from (e0, g, theta h) and the first column of W in O(cells) time and
-    memory, with no matrix formed.
+    memory, with no matrix formed.  `second_diff`, at least `cells` values of
+    power_second_difference(k, 2H), k = 0, 1, ..., spares recomputing them.
     """
     h = horizon / cells
     e0, g = _exp_cell_weights(theta * h)
     two_h = 2.0 * hurst
-    wcol = h**two_h / (two_h * (two_h - 1.0)) * power_second_difference(np.arange(cells), two_h)
+    if second_diff is None:
+        second_diff = power_second_difference(np.arange(cells), two_h)
+    wcol = h**two_h / (two_h * (two_h - 1.0)) * second_diff[:cells]
     quad = _trace_ew_square(e0, g, theta * h, wcol)
     return (hurst * (two_h - 1.0)) ** 2 / (2.0 * horizon) * quad
 
@@ -319,8 +324,10 @@ def ef2_quadrature(params: ModelParams, horizon: float, cells: int | None = None
     _require_clt_range(params.hurst, "ef2_quadrature")
     if cells is None:
         cells = max(300, int(24 * horizon))
-    coarse = _ef2_fixed_mesh(params.theta, params.hurst, horizon, cells)
-    fine = _ef2_fixed_mesh(params.theta, params.hurst, horizon, 2 * cells)
+    # the coarse mesh's W column is the first half of the fine one's
+    second_diff = power_second_difference(np.arange(2 * cells), 2.0 * params.hurst)
+    coarse = _ef2_fixed_mesh(params.theta, params.hurst, horizon, cells, second_diff)
+    fine = _ef2_fixed_mesh(params.theta, params.hurst, horizon, 2 * cells, second_diff)
     return (4.0 * fine - coarse) / 3.0
 
 

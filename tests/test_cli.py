@@ -179,6 +179,27 @@ def test_estimate_rejects_degenerate_csv_with_one_error_line(tmp_path, capsys, b
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_simulate_to_directory_exits_2_before_the_draw(tmp_path, capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a path for an output that cannot be written")
+
+    monkeypatch.setattr(fou, "simulate_path", no_draw)
+    args = ["simulate", "--theta", "1", "--hurst", "0.7", "--n", "1048576", "--delta", "0.01"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 2
+    assert "directory" in capsys.readouterr().err
+
+
+def test_simulate_removes_its_output_when_the_draw_fails(tmp_path, capsys, monkeypatch):
+    def failing_draw(*args, **kwargs):
+        raise RuntimeError("draw failed")
+
+    monkeypatch.setattr(fou, "simulate_path", failing_draw)
+    out = tmp_path / "path.csv"
+    assert run_cli(SIM_ARGS + ["--out", str(out)]) == 1
+    assert "draw failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_stdout_matches_file_across_write_blocks(tmp_path, capsys):
     args = list(SIM_ARGS)
     args[args.index("--n") + 1] = str(2 * fou._CSV_ROWS + 3)

@@ -1,4 +1,4 @@
-"""Import guard: fracou loads each scipy subpackage only when a call needs it.
+"""Import guard: fracou runs on numpy alone and loads no scipy module.
 
 Every check runs in a fresh interpreter, since this process has scipy loaded.
 """
@@ -14,16 +14,11 @@ import fracou
 SRC = str(Path(fracou.__file__).resolve().parents[1])
 GOLDEN = str(Path(__file__).parent / "data" / "golden_path.csv")
 
-#: prints the scipy subpackages loaded so far as a JSON list; `scipy` itself
-#: and its private and plain modules (`scipy._lib`, `scipy.version`) do not count
+#: prints the scipy modules loaded so far as a JSON list
 _LOADED = """
 import json, sys
 def loaded():
-    names = {m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}
-    return sorted(
-        name for name in names
-        if not name.startswith("_") and hasattr(sys.modules["scipy." + name], "__path__")
-    )
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 """
 
 
@@ -38,7 +33,7 @@ def _run(code: str) -> list:
 
 
 def test_import_loads_no_scipy():
-    code = "import fracou.cli\nprint(json.dumps([m for m in sys.modules if m.startswith('scipy')]))"
+    code = "import fracou.cli\nprint(json.dumps(loaded()))"
     assert _run(code) == [[]]
 
 
@@ -48,12 +43,12 @@ def test_estimate_loads_no_scipy():
         "from fracou import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main(['estimate', '--in', {GOLDEN!r}]) == 0\n"
-        "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))"
+        "print(json.dumps(loaded()))"
     )
     assert _run(code) == [[]]
 
 
-def test_theory_asymptotic_loads_only_special():
+def test_theory_asymptotic_loads_no_scipy():
     code = (
         "import contextlib, io\n"
         "from fracou import cli\n"
@@ -62,10 +57,10 @@ def test_theory_asymptotic_loads_only_special():
         "    assert cli.main(args) == 0\n"
         "print(json.dumps(loaded()))"
     )
-    assert _run(code) == [["special"]]
+    assert _run(code) == [[]]
 
 
-def test_theory_quadrature_loads_only_special():
+def test_theory_quadrature_loads_no_scipy():
     # the E(F_T^2) quadrature is numpy only: no scipy.linalg or scipy.fft
     code = (
         "import contextlib, io\n"
@@ -76,7 +71,7 @@ def test_theory_quadrature_loads_only_special():
         "    assert cli.main(args) == 0\n"
         "print(json.dumps(loaded()))"
     )
-    assert _run(code) == [["special"]]
+    assert _run(code) == [[]]
 
 
 def test_quadrature_cross_checks_load_no_scipy():
@@ -106,12 +101,12 @@ def test_simulate_loads_no_scipy(tmp_path):
         "    args = ['simulate', '--theta', '1', '--hurst', '0.7', '--n', '300',\n"
         f"            '--delta', delta, '--out', {out!r}]\n"
         "    assert cli.main(args) == 0\n"
-        "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))"
+        "print(json.dumps(loaded()))"
     )
     assert _run(code) == [[]]
 
 
-def test_mc_loads_only_special(tmp_path):
+def test_mc_loads_no_scipy(tmp_path):
     config = tmp_path / "mc.json"
     config.write_text(json.dumps({
         "theta": 1.0, "hurst": 0.6, "replications": 100, "seed": 3,
@@ -124,4 +119,4 @@ def test_mc_loads_only_special(tmp_path):
         f"    assert cli.main(['mc', {str(config)!r}, '--threads', '1']) == 0\n"
         "print(json.dumps(loaded()))"
     )
-    assert _run(code) == [["special"]]
+    assert _run(code) == [[]]

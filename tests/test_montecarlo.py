@@ -1,6 +1,11 @@
 import json
 import math
 import os
+import platform
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,7 +197,7 @@ def test_streams_disjoint_across_schemes():
 
 
 @pytest.mark.parametrize("x0", [0.0, 1.5, 1e200])  # 1e200: the power-of-two rescale
-@pytest.mark.parametrize("n", [16, 500])
+@pytest.mark.parametrize("n", [16, 500, 8000])
 def test_run_block_matches_single_path_pipeline(n, x0):
     params = ModelParams(theta=1.0, hurst=0.6, x0=x0)
     scheme = SamplingScheme.from_gamma(n, 0.6)
@@ -203,6 +208,79 @@ def test_run_block_matches_single_path_pipeline(n, x0):
             for r in range(count)
         ]
         assert got.tolist() == ref
+
+
+def test_run_block_reuses_its_buffers_in_each_thread():
+    params, scheme = ModelParams(theta=1.0, hurst=0.6), SamplingScheme(n=64, delta=0.25)
+    first = montecarlo.run_block(params, scheme, 3, 0, 5)
+    buffers = montecarlo._BUFFERS.arrays
+    assert montecarlo.run_block(params, scheme, 3, 0, 5).tolist() == first.tolist()
+    assert montecarlo._BUFFERS.arrays is buffers
+    # a new shape sizes new buffers; a path beyond BLOCK_POINTS draws into new arrays
+    montecarlo.run_block(params, scheme, 3, 0, 2)
+    assert montecarlo._BUFFERS.arrays[0].shape == (2, 65)
+    assert montecarlo._block_buffers(params, SamplingScheme(n=9000, delta=0.01), 1) is None
+
+
+def test_run_block_threads_never_share_buffers():
+    # more threads than cores, switching often, each alternating block shapes:
+    # a buffer shared across threads would mix their draws
+    params = ModelParams(theta=1.0, hurst=0.6)
+    jobs = [(SamplingScheme(n=n, delta=0.25), 3, first, count)
+            for n, count in ((64, 5), (100, 3), (64, 2)) for first in (0, 40)]
+    expected = [montecarlo.run_block(params, *job).tolist() for job in jobs]
+    results = {}
+
+    def worker(t):
+        results[t] = [
+            montecarlo.run_block(params, *job).tolist() for _ in range(20) for job in jobs
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(results[t] == expected * 20 for t in range(6))
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="counts the page faults of the glibc heap",
+)
+def test_replications_do_not_page_the_heap_in():
+    # Every array of an n = 8000 draw lies just below glibc's 128 KiB mmap and
+    # trim thresholds.  Drawn into new arrays, each replication had its heap
+    # trimmed and paged back in (about 90 minor faults) unless an import such
+    # as scipy's had raised the thresholds, so this runs in a fresh
+    # interpreter with no scipy module loaded.
+    code = (
+        "import json, resource, sys\n"
+        "from fracou import montecarlo\n"
+        "from fracou.fou import ModelParams, SamplingScheme\n"
+        "params, scheme = ModelParams(1.0, 0.7), SamplingScheme.from_gamma(8000, 0.6)\n"
+        "montecarlo.run_block(params, scheme, 11, 0, 1)  # the spectrum and the buffers\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for stream in range(1, 51):\n"
+        "    montecarlo.run_block(params, scheme, 11, stream, 1)\n"
+        "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        "scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(json.dumps([faults, scipy]))\n"
+    )
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    faults, scipy = json.loads(done.stdout)
+    assert scipy == []
+    assert faults <= 2 * 50, f"{faults} minor faults in 50 replications"
 
 
 def test_block_fallback_rows_match_sample_cholesky(monkeypatch):

@@ -82,6 +82,28 @@ def test_lower_incomplete_gamma_domain():
         lower_incomplete_gamma(1.0, -0.1)
 
 
+def test_lower_incomplete_gamma_against_mpmath():
+    # the exponents of alpha_n over the CLT range H in (1/2, 3/4), and more;
+    # x = a + 1 is where the series hands over to the continued fraction
+    hursts = np.linspace(0.5, 0.75, 12)[1:-1]
+    exponents = np.concatenate([2.0 * hursts - 1.0, 2.0 * hursts, [0.05, 1.0, 1.5]])
+    for a in exponents:
+        xs = np.concatenate([np.logspace(-12.0, 4.0, 49), a + 1.0 + np.array([-1e-3, 0.0, 1e-3])])
+        got = lower_incomplete_gamma(a, xs)
+        for x, value in zip(xs, got):
+            ref = mpmath.gammainc(mpmath.mpf(a), 0, mpmath.mpf(x))
+            assert abs(value - ref) <= 1e-13 * ref, (a, x)
+    assert lower_incomplete_gamma(np.array([1.0, 2.0]), 3.0).shape == (2,)
+
+
+def test_std_normal_cdf_against_mpmath():
+    # from the lower tail, where Phi is 3e-316 at z = -38, to 1 - 1e-19 at z = 9
+    zs = np.linspace(-38.0, 9.0, 4000)
+    got = std_normal_cdf(zs)
+    ref = np.array([float(mpmath.ncdf(z)) for z in zs])
+    assert np.max(np.abs(got - ref)) <= 2e-16
+
+
 def test_std_normal_cdf_values():
     assert std_normal_cdf(0.0) == 0.5
     assert std_normal_cdf(8.0) >= 1.0 - 1e-15
