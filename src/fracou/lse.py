@@ -56,6 +56,8 @@ def estimate_series(x, delta: float) -> EstimateResult:
     if not (delta > 0.0 and np.isfinite(delta)):
         raise DomainError(f"delta must be positive, got {delta}")
     num, den = ratio_terms(x, delta)
+    if math.isnan(den):
+        raise DegeneratePathError("sum of squared lagged observations is zero")
     return EstimateResult(
         theta_hat=num / den,
         numerator=num,
@@ -65,17 +67,48 @@ def estimate_series(x, delta: float) -> EstimateResult:
     )
 
 
-def ratio_terms(x: np.ndarray, delta: float) -> tuple[float, float]:
+def ratio_terms(x: np.ndarray, delta: float):
     """(numerator, denominator) of theta_hat for a finite float path x of at
-    least 3 points, rescaled as `estimate_series` describes; the caller has
-    checked x and delta.  Raises DegeneratePathError when the denominator is 0."""
-    num, sxx = _lse_sums(x)
-    if not (math.isfinite(num) and _TINY <= sxx < math.inf):
-        num, sxx = _lse_sums(np.ldexp(x, -math.frexp(np.abs(x).max())[1]))
-    den = delta * sxx
-    if den <= 0.0:
-        raise DegeneratePathError("sum of squared lagged observations is zero")
+    least 3 points, rescaled as `estimate_series` describes, or arrays of them
+    over the rows of a block x of such paths; the caller has checked x and
+    delta.  A degenerate path, one whose denominator is 0, gets a NaN
+    denominator, so that numerator / denominator is NaN there.
+
+    A block of paths of at most _SUM_CHUNK + 1 points takes one difference
+    over the block, then two dot products per row: the same sums, bit for
+    bit, as one path on its own, which is the block's one-row case.  Longer
+    paths, a block with a row whose sum of squares overflows, and rows that
+    need rescaling are summed one path at a time.
+    """
+    block = x.reshape(-1, x.shape[-1])
+    num, den = np.empty(len(block)), np.empty(len(block))
+    for r, (num_r, sxx) in enumerate(_block_sums(block)):
+        if not (math.isfinite(num_r) and _TINY <= sxx < math.inf):
+            row = block[r]
+            num_r, sxx = _lse_sums(np.ldexp(row, -math.frexp(np.abs(row).max())[1]))
+        den_r = delta * sxx
+        num[r], den[r] = num_r, den_r if den_r > 0.0 else math.nan
+    if x.ndim == 1:
+        return float(num[0]), float(den[0])
     return num, den
+
+
+def _block_sums(block):
+    """`_lse_sums` of each row of a block.  Rows of at most _SUM_CHUNK + 1
+    points take one difference over the block and a single vdot per sum, as
+    `_sum_squares` takes it; longer rows go one at a time, and so do all rows
+    once any sum of squares overflows, since the difference could too."""
+    if block.shape[1] > _SUM_CHUNK + 1:
+        return map(_lse_sums, block)
+    prev = block[:, :-1]
+    sxx = [np.vdot(row, row) for row in prev]
+    if max(sxx) == math.inf:
+        return map(_lse_sums, block)
+    steps = block[:, 1:] - prev  # np.diff of every row
+    return [
+        (0.5 * np.vdot(dx, dx) - 0.5 * (b * b - a * a), s)
+        for dx, a, b, s in zip(steps, block[:, 0], block[:, -1], sxx)
+    ]
 
 
 def _lse_sums(x):

@@ -24,7 +24,7 @@ from itertools import repeat
 import numpy as np
 
 from . import lse, theory
-from .errors import DataQualityError, DegeneratePathError, DomainError, ReplicationError
+from .errors import DataQualityError, DomainError, ReplicationError
 from .fbm import RngSeed
 from .fou import ModelParams, SamplingScheme, check_steps, draw_buffers, simulate_paths
 from .specialfn import std_normal_cdf
@@ -206,12 +206,12 @@ def run_block(params: ModelParams, scheme: SamplingScheme, seed: int, first_stre
 
     Entry r equals lse.estimate(simulate_path(params, scheme, RngSeed(seed,
     first_stream + r))).theta_hat bit for bit: one batched draw and
-    recursion, then the estimator sums per row.  The draw goes into buffers
-    that the calling thread keeps while the block shape repeats (a
-    `threading.local`, so threads never share them); the size guard runs
+    recursion, then the estimator sums of the whole block.  The draw goes
+    into buffers that the calling thread keeps while the block shape repeats
+    (a `threading.local`, so threads never share them); the size guard runs
     before they are sized.  Any other failure raises ReplicationError naming
-    the scheme, the stream of the failing row (the block's first before the
-    per-row stage) and the block's streams.
+    the scheme, the stream of the first non-finite row (else the block's
+    first) and the block's streams.
     """
     stream = first_stream
     try:
@@ -221,15 +221,8 @@ def run_block(params: ModelParams, scheme: SamplingScheme, seed: int, first_stre
         if not finite.all():
             stream = first_stream + int(np.argmin(finite))
             raise DomainError("path contains non-finite values")
-        theta_hats = np.empty(count)
-        for r, x in enumerate(paths):
-            stream = first_stream + r
-            try:
-                num, den = lse.ratio_terms(x, scheme.delta)
-                theta_hats[r] = num / den
-            except DegeneratePathError:
-                theta_hats[r] = math.nan
-        return theta_hats
+        num, den = lse.ratio_terms(paths, scheme.delta)
+        return num / den
     except Exception as exc:
         raise ReplicationError(
             f"replication failed at n={scheme.n}, delta={scheme.delta!r}, "

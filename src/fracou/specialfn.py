@@ -3,7 +3,12 @@
 Validated numpy and `math` implementations, with no scipy: Gamma from
 `math.gamma`, Phi from `math.erfc`, the lower incomplete gamma by its power
 series and continued fraction.  Everything is evaluated in float64; all
-functions accept scalars or numpy arrays and broadcast.  The Gauss rules
+functions accept scalars or numpy arrays and broadcast.  A 0-d argument (a
+Python or numpy scalar, or a 0-d array) is converted to a Python float and
+checked with plain float comparisons, and the result is a Python float: the
+theory constants call these functions with scalars, where numpy's per-call
+overhead would cost far more than the arithmetic.  Arrays are checked by one
+vectorised comparison.  Both raise the same DomainError.  The Gauss rules
 for the quadrature cross-checks are numpy only as well.
 """
 
@@ -56,10 +61,8 @@ def gamma(x):
 
     Raises DomainError for non-positive or non-finite input.
     """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError(f"gamma requires finite x > 0, got {x!r}")
-    return _per_element(math.gamma, arr)
+    x = _checked(x, _positive, "gamma requires finite x > 0, got {!r}")
+    return _per_element(math.gamma, x)
 
 
 def lower_incomplete_gamma(a, x):
@@ -73,13 +76,11 @@ def lower_incomplete_gamma(a, x):
     converge in a few dozen steps: 1e-15 relative to an mpmath reference
     for a in (0, 1.5] and x in [1e-12, 1e4].
     """
-    a_arr = np.asarray(a, dtype=float)
-    x_arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(a_arr)) or np.any(a_arr <= 0.0):
-        raise DomainError(f"lower_incomplete_gamma requires a > 0, got a={a!r}")
-    if not np.all(np.isfinite(x_arr)) or np.any(x_arr < 0.0):
-        raise DomainError(f"lower_incomplete_gamma requires x >= 0, got x={x!r}")
-    return _per_element(_lower_gamma, a_arr, x_arr)
+    return _per_element(
+        _lower_gamma,
+        _checked(a, _positive, "lower_incomplete_gamma requires a > 0, got a={!r}"),
+        _checked(x, _nonnegative, "lower_incomplete_gamma requires x >= 0, got x={!r}"),
+    )
 
 
 def _lower_gamma(a: float, x: float) -> float:
@@ -119,18 +120,44 @@ def std_normal_cdf(z):
     Raises DomainError on non-finite input (NaN would otherwise propagate
     silently into Kolmogorov distances).
     """
-    arr = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"std_normal_cdf requires finite z, got {z!r}")
-    return 0.5 * _per_element(math.erfc, arr * -_SQRT_HALF)
+    z = _checked(z, _finite, "std_normal_cdf requires finite z, got {!r}")
+    return 0.5 * _per_element(math.erfc, z * -_SQRT_HALF)
+
+
+def _positive(v):
+    return (v > 0.0) & (v < math.inf)
+
+
+def _nonnegative(v):
+    return (v >= 0.0) & (v < math.inf)
+
+
+def _finite(v):
+    return abs(v) < math.inf
+
+
+def _checked(value, valid, message):
+    """value as a float if it is 0-d, else as a float array, after checking it:
+    valid(v) tells elementwise whether v lies in the domain, and a value
+    outside raises DomainError(message.format(value)).  A 0-d value is checked
+    with float comparisons, an array by one vectorised call of valid."""
+    if isinstance(value, (float, int)):  # np.float64 is a float
+        arg = float(value)
+    else:
+        arg = np.asarray(value, dtype=float)
+        if arg.ndim == 0:
+            arg = float(arg)
+    if not (valid(arg) if type(arg) is float else valid(arg).all()):
+        raise DomainError(message.format(value))
+    return arg
 
 
 def _per_element(func, *args):
-    """func of the broadcast float arguments: a float for 0-d input, else an array."""
-    if all(arr.ndim == 0 for arr in args):
-        return func(*map(float, args))
-    out = np.frompyfunc(func, len(args), 1)(*args)
-    return out.astype(float)
+    """func of the broadcast arguments from `_checked`: a float when all are
+    floats, else an array."""
+    if np.ndarray not in map(type, args):
+        return func(*args)
+    return np.frompyfunc(func, len(args), 1)(*args).astype(float)
 
 
 def power_second_difference(k, p: float) -> np.ndarray:
@@ -148,7 +175,13 @@ def power_second_difference(k, p: float) -> np.ndarray:
     kn, kf = k[near], k[~near]
     out[near] = np.abs(kn + 1.0) ** p - 2.0 * kn**p + np.abs(kn - 1.0) ** p
     if kf.size:
-        series = np.polynomial.polynomial.polyval(1.0 / (kf * kf), _binomial_series(p))
+        # Horner's rule in u = 1/k^2, in place: numpy's polyval, step for step
+        u = 1.0 / (kf * kf)
+        coef = _binomial_series(p)
+        series = np.full(u.shape, coef[-1])
+        for c in coef[-2::-1]:
+            series *= u
+            series += c
         out[~near] = 2.0 * kf ** (p - 2.0) * series
     return out
 

@@ -83,6 +83,24 @@ def test_sums_overflowing_across_chunks_are_rescaled():
     assert math.isfinite(res.numerator) and math.isfinite(res.denominator)
 
 
+@pytest.mark.parametrize("n", [40, lse._SUM_CHUNK + 1, lse._SUM_CHUNK + 2])
+def test_block_sums_equal_one_path_sums(n):
+    # a block takes one difference and two dots per row; every row must get
+    # the bits of the one-path call, also a degenerate row (NaN denominator),
+    # rows beyond the float range, and rows that np.diff would overflow
+    rng = np.random.default_rng(n)
+    base = np.cumsum(rng.standard_normal((3, n)), axis=1) * 0.1 + 0.3
+    rows = [base[0], np.zeros(n), base[1] * 2.0**600, base[2] * 2.0**-600, base[0] * -3.0]
+    far = np.resize([1.7e308, -1.7e308, 1e308, 5.0], n)
+    for block in (np.array(rows), np.array(rows + [far])):
+        num, den = lse.ratio_terms(block, 0.02)
+        for r, x in enumerate(block):
+            one = lse.ratio_terms(x, 0.02)
+            assert [float(num[r]).hex(), float(den[r]).hex()] == [v.hex() for v in one], r
+    assert np.isnan(den).tolist() == [False, True] + [False] * (len(block) - 2)
+    assert np.isfinite(num).all()
+
+
 def test_estimator_components_consistent():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(50)

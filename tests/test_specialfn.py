@@ -4,7 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from fracou import theory
 from fracou.errors import DomainError
+from fracou.fou import ModelParams, SamplingScheme
 from fracou.specialfn import (
     gamma,
     gamma_body_rule,
@@ -47,10 +49,20 @@ def test_gamma_duplication_for_hurst_range():
         assert lhs == pytest.approx(gamma(2 * h), rel=1e-12)
 
 
+#: arguments outside the domain of Gamma and of gamma(a, x) in a; x = 0 is in it
+_BAD_ARGS = [0.0, -1.0, math.nan, math.inf, -math.inf]
+
+
+def _scalar_and_array_forms(bad):
+    return [bad, np.float64(bad), np.array(bad), np.array([1.0, bad]), [bad, 2.0]]
+
+
 def test_gamma_domain_errors():
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(DomainError):
-            gamma(bad)
+    # on the 0-d branch and on the array path alike
+    for bad in _BAD_ARGS:
+        for arg in _scalar_and_array_forms(bad):
+            with pytest.raises(DomainError):
+                gamma(arg)
 
 
 def test_lower_incomplete_gamma_closed_form_a1():
@@ -76,10 +88,16 @@ def test_lower_incomplete_gamma_monotone_and_limit():
 
 
 def test_lower_incomplete_gamma_domain():
-    with pytest.raises(DomainError):
-        lower_incomplete_gamma(0.0, 1.0)
+    for bad in _BAD_ARGS:
+        for arg in _scalar_and_array_forms(bad):
+            with pytest.raises(DomainError):
+                lower_incomplete_gamma(arg, 1.0)
+            if bad != 0.0:  # gamma(a, 0) = 0 is in the domain
+                with pytest.raises(DomainError):
+                    lower_incomplete_gamma(1.0, arg)
     with pytest.raises(DomainError):
         lower_incomplete_gamma(1.0, -0.1)
+    assert lower_incomplete_gamma(1.0, np.array([0.0, 1.0]))[0] == 0.0
 
 
 def test_lower_incomplete_gamma_against_mpmath():
@@ -175,3 +193,45 @@ def test_gamma_body_rule_broadcasts_and_integrates():
     for u, val in zip(upper, got):
         ref = float(mpmath.gammainc(q + 1.0, 1.0, u))
         assert val == pytest.approx(ref, rel=1e-13, abs=1e-300)
+
+
+#: a Python float, a numpy scalar and a 0-d array: each is one scalar argument
+_SCALAR_FORMS = [float, np.float64, np.array]
+
+
+@pytest.mark.parametrize("form", _SCALAR_FORMS + [int])
+def test_gamma_scalar_forms_give_the_array_call_bits(form):
+    xs = [1.0, 3.0, 7.0] if form is int else [0.25, 1.0, 1.4, 3.5, 170.5]
+    by_array = gamma(np.array(xs))
+    for x, expect in zip(xs, by_array):
+        got = gamma(form(x))
+        assert type(got) is float
+        assert got.hex() == float(expect).hex(), x
+
+
+@pytest.mark.parametrize("form", _SCALAR_FORMS + [int])
+def test_lower_incomplete_gamma_scalar_forms_give_the_array_call_bits(form):
+    if form is int:
+        pairs = [(1.0, 0.0), (1.0, 3.0), (2.0, 1.0), (3.0, 40.0)]
+    else:
+        pairs = [(0.1, 0.0), (0.4, 0.5), (0.4, 1.4), (1.3, 2.0), (1.3, 30.0)]
+    a_arr, x_arr = np.array(pairs).T
+    by_array = lower_incomplete_gamma(a_arr, x_arr)
+    for (a, x), expect in zip(pairs, by_array):
+        got = lower_incomplete_gamma(form(a), form(x))
+        assert type(got) is float
+        assert got.hex() == float(expect).hex(), (a, x)
+
+
+def test_theory_constants_build_no_ufunc_per_call(monkeypatch):
+    # every special function call of the constants takes scalars, which the
+    # 0-d branch evaluates without np.frompyfunc
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scalar argument went through np.frompyfunc")
+
+    monkeypatch.setattr(np, "frompyfunc", refuse)
+    params = ModelParams(theta=1.0, hurst=0.6)
+    consts = theory.constants(params, SamplingScheme(1000, 0.01), "quadrature")
+    assert math.isfinite(consts.lambda_n) and math.isfinite(consts.alpha_n)
+    assert math.isfinite(theory.lambda_limit(params))

@@ -252,7 +252,8 @@ def test_ew_generators_give_dense_product(rate, cells):
     ecol = np.append(e0, g * np.exp(-rate * np.arange(cells - 1)))
     dense = scipy.linalg.toeplitz(ecol) @ scipy.linalg.toeplitz(w)
     np.testing.assert_allclose(dense, dense[::-1, ::-1], rtol=1e-13, atol=0)
-    c, a, b = theory._ew_generators(e0, g, rate, w)
+    power = np.exp(-rate * np.arange(cells))
+    c, a, b = theory._ew_generators(e0, g, w, power, theory._DecayScan(rate, cells + 1))
     i, k = np.tril_indices(cells)
     lower = c[i - k] + g * np.exp(-rate * (i - k)) * a[k]
     lower -= g * np.exp(-rate * (cells - 1 - i)) * b[k]
@@ -276,7 +277,7 @@ def test_decay_scan_matches_recursion():
             for m in range(n):
                 acc = math.exp(-rate) * acc + x[:, m]
                 ref[:, m] = acc
-            got = theory._decay_scan(rate, x)
+            got = theory._DecayScan(rate, n)(x)
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
@@ -428,3 +429,72 @@ def test_gamma_window():
         theory.gamma_window(0.75)
     with pytest.raises(DomainError):
         theory.gamma_window(0.5)
+
+
+# The 20 (H, T) points of the benchmark's theory sweep at theta = 1, n = 1000,
+# frozen before Gamma, gamma(a, x) and the E(F_T^2) mesh pass were rewritten
+# for speed.  The closed forms and the alpha quadrature must keep every bit;
+# E(F_T^2), a sum of many terms, and lambda_n with it, 1e-14 relative.
+_SWEEP_ALPHA = {  # (H, T): float.hex of alpha_n, alpha_n_quadrature
+    (0.55, 10): ("0x1.4b86d8025a6c9p+2", "0x1.4b86d8025a6cap+2"),
+    (0.55, 20): ("0x1.4d337adf685b9p+3", "0x1.4d337adf685bap+3"),
+    (0.55, 30): ("0x1.f4a38a4e61748p+3", "0x1.f4a38a4e6174ap+3"),
+    (0.55, 40): ("0x1.4e09ccdeadc2ap+4", "0x1.4e09ccdeadc29p+4"),
+    (0.55, 50): ("0x1.a1c1d4962acafp+4", "0x1.a1c1d4962acaep+4"),
+    (0.6, 10): ("0x1.59867aac1634ap+2", "0x1.59867aac1634cp+2"),
+    (0.6, 20): ("0x1.5d0d103e6c71fp+3", "0x1.5d0d103e6c721p+3"),
+    (0.6, 30): ("0x1.06ab725d83294p+4", "0x1.06ab725d83294p+4"),
+    (0.6, 40): ("0x1.5ed05c9bd189bp+4", "0x1.5ed05c9bd1898p+4"),
+    (0.6, 50): ("0x1.b6f546da1fea0p+4", "0x1.b6f546da1fe9bp+4"),
+    (0.65, 10): ("0x1.6a25c0f64df7ep+2", "0x1.6a25c0f64df76p+2"),
+    (0.65, 20): ("0x1.6fbf62392fe1cp+3", "0x1.6fbf62392fe13p+3"),
+    (0.65, 30): ("0x1.1535f3a00b282p+4", "0x1.1535f3a00b279p+4"),
+    (0.65, 40): ("0x1.728c3623818d7p+4", "0x1.728c3623818cap+4"),
+    (0.65, 50): ("0x1.cfe278a6f7f2fp+4", "0x1.cfe278a6f7f19p+4"),
+    (0.7, 10): ("0x1.7d983828af363p+2", "0x1.7d983828af365p+2"),
+    (0.7, 20): ("0x1.858b57aab46c4p+3", "0x1.858b57aab46c2p+3"),
+    (0.7, 30): ("0x1.26254ca56f2c3p+4", "0x1.26254ca56f2c0p+4"),
+    (0.7, 40): ("0x1.8984ed758a5a4p+4", "0x1.8984ed758a59cp+4"),
+    (0.7, 50): ("0x1.ece48e45a5884p+4", "0x1.ece48e45a5878p+4"),
+}
+_SWEEP_LIMITS = {  # H: float.hex of a_theta_h, sigma_h2
+    0.55: ("0x1.5914d1c7f841ap-1", "0x1.3b1ac6e93fea2p+1"),
+    0.6: ("0x1.e670fdf036bd8p-1", "0x1.90b410d07f01fp+1"),
+    0.65: ("0x1.7887d66883d01p+0", "0x1.149d0048267f5p+2"),
+    0.7: ("0x1.787c038153208p+1", "0x1.e7feba5a25c29p+2"),
+}
+_SWEEP_EF2 = {  # (H, T): ef2 by quadrature, lambda_n from it
+    (0.55, 10): (0.6160737970748351, 0.6599669871176392),
+    (0.55, 20): (0.6440779786494325, 0.6487198976201888),
+    (0.55, 30): (0.6536455151306785, 0.6450333273914256),
+    (0.55, 40): (0.6585038644080697, 0.6431867717897226),
+    (0.55, 50): (0.6614529878584211, 0.6420730085909209),
+    (0.6, 10): (0.8125141160416943, 0.5989415374085009),
+    (0.6, 20): (0.8711953413125121, 0.584320571934013),
+    (0.6, 30): (0.8926983759095982, 0.5791837803337593),
+    (0.6, 40): (0.9041393254757734, 0.5764732443116498),
+    (0.6, 50): (0.9113400248140652, 0.5747683831612189),
+    (0.65, 10): (1.0932056183870182, 0.5411959784553517),
+    (0.65, 20): (1.2148942036109116, 0.5213154958257822),
+    (0.65, 30): (1.264486373116293, 0.5135843148274357),
+    (0.65, 40): (1.2928209771696224, 0.5092076904420905),
+    (0.65, 50): (1.3116598025851058, 0.5063017325798566),
+    (0.7, 10): (1.5040438674154446, 0.4861743056267308),
+    (0.7, 20): (1.7573327977355018, 0.4591450217503964),
+    (0.7, 30): (1.874622103830479, 0.4475735372640321),
+    (0.7, 40): (1.9474601499551623, 0.4406073283182211),
+    (0.7, 50): (1.9990146442775611, 0.43576715761365736),
+}
+
+
+@pytest.mark.parametrize("hurst, horizon", sorted(_SWEEP_ALPHA))
+def test_sweep_points_keep_their_values(hurst, horizon):
+    params = ModelParams(theta=1.0, hurst=hurst)
+    scheme = SamplingScheme(1000, horizon / 1000)
+    consts = theory.constants(params, scheme, "quadrature")
+    alpha_quad = theory.alpha_n_quadrature(params, scheme.horizon)
+    assert (consts.alpha_n.hex(), alpha_quad.hex()) == _SWEEP_ALPHA[hurst, horizon]
+    assert (consts.a_theta_h.hex(), consts.sigma_h2.hex()) == _SWEEP_LIMITS[hurst]
+    ef2, lam = _SWEEP_EF2[hurst, horizon]
+    assert consts.ef2 == pytest.approx(ef2, rel=1e-14, abs=0)
+    assert consts.lambda_n == pytest.approx(lam, rel=1e-14, abs=0)
