@@ -160,12 +160,19 @@ def _check_type(what: str, value, kind: str) -> None:
         raise DomainError(f"{what} must be {kind}, got {json.dumps(value)}")
 
 
+def _open_text(name: str, mode: str, what: str):
+    """The file `name` opened as UTF-8 text, as `fou.open_path_csv` opens a
+    path CSV: a directory raises DomainError, naming it as `what`."""
+    try:
+        return open(name, mode, newline="", encoding="utf-8")
+    except IsADirectoryError as exc:
+        raise DomainError(f"{what} {name!r} is a directory") from exc
+
+
 def _load_mc_config(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _open_text(path, "r", "mc config") as fh:
             doc = json.load(fh)
-    except IsADirectoryError as exc:
-        raise DomainError(f"mc config {path!r} is a directory") from exc
     except UnicodeDecodeError as exc:
         raise DomainError(f"mc config is not UTF-8 text: {exc.reason}") from exc
     _check_type("mc config", doc, "an object")
@@ -217,21 +224,35 @@ def _load_mc_config(path: str):
         dlt=doc.get("dlt"),
         gamma=gamma,
     )
-    return config, doc.get("out_json"), doc.get("out_csv")
+    outputs = {key: doc[key] for key in ("out_json", "out_csv") if doc.get(key)}
+    if len(set(outputs.values())) < len(outputs):
+        raise DomainError("out_json and out_csv must name different files")
+    return config, outputs
 
 
 def cmd_mc(args) -> int:
-    config, out_json, out_csv = _load_mc_config(args.config)
-    report = montecarlo.run(config, threads=args.threads)
-    payload = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    if out_json:
-        with open(out_json, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-    if out_csv:
-        with open(out_csv, "w") as fh:
-            fh.write(report.to_csv())
+    """Run the study of an mc config: the JSON report goes to out_json (or
+    stdout), its CSV to out_csv.  Both files are opened before the study, so
+    an unwritable one fails before any draw, and removed if the study or a
+    write fails."""
+    config, outputs = _load_mc_config(args.config)
+    files = {}
+    try:
+        for key, name in outputs.items():
+            files[key] = _open_text(name, "w", f"mc {key}")
+        report = montecarlo.run(config, threads=args.threads)
+        files.get("out_json", sys.stdout).write(
+            json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        )
+        if "out_csv" in files:
+            files["out_csv"].write(report.to_csv())
+        for fh in files.values():
+            fh.close()
+    except BaseException:
+        for key, fh in files.items():
+            fh.close()
+            os.remove(outputs[key])
+        raise
     return 0
 
 

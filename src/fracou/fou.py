@@ -27,6 +27,12 @@ X_{t+d} = e^(-theta d) X_t + dB is aggregated per observation step,
 
 which carries an O(d^H) scheme error that vanishes as M grows.
 
+`write_path_csv` writes the bytes of `"%d,%.17g,%.17g\n" %` per row but
+computes the digits in numpy: for each value that `%.17g` prints in fixed
+notation, 1e-4 <= |v| < 1e17, Dekker's error-free product (1971) gives
+|v| 10^(16 - e) exactly, whose rounding to an integer, half to even, is the
+17 correctly rounded digits; any other row is formatted by `%` itself.
+
 Drawing a path and `exact_second_moment` need numpy only.
 """
 
@@ -66,6 +72,63 @@ _BLOCK_DECAY = 64.0
 
 #: rows per formatted block of `write_path_csv`
 _CSV_ROWS = 4096
+
+#: 2^27 + 1, Veltkamp's constant: c = s a splits a into a - (c - (c - a)) and
+#: the rest, two halves of 26 bits whose products are exact doubles
+_SPLIT = 134217729.0
+#: 10^q for q = 0..20 (all exact doubles) and their Veltkamp halves
+_POW10 = 10.0 ** np.arange(21)
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+#: 10^q as int64, capped at 10^18, above every 17-digit mantissa
+_POW10_INT = 10 ** np.minimum(np.arange(21), 18)
+#: the range that `%.17g` prints in fixed notation and `_format_rows` formats
+_FIXED_RANGE = (1e-4, 1e17)
+#: uint32 words of the CSV rows of one block, as `_format_rows` lays them out:
+#: i (2), then t and x (_NUMBER_WORDS each), then the newline
+_NUMBER_WORDS = 11
+_ROW_WORDS = 2 + 2 * _NUMBER_WORDS + 1
+
+
+def _ascii_words(chars):
+    # rows of 4 ASCII codes (0 for none) as uint32 words, one per row
+    return np.ascontiguousarray(chars, dtype=np.uint8).view(np.uint32).ravel()
+
+
+@lru_cache(maxsize=1)
+def _chunk_words():
+    """(fraction, integer, units): words of the 4-digit chunks 0000..9999,
+    indexed c + 10000 * cut where cut drops, as NULs, the chunk's trailing
+    zeros (fraction), its leading zeros (integer) or its leading zeros but
+    the units digit (units).  Built on the first CSV write, so an import
+    that writes none does not pay for it."""
+    d = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    zero = d == 0
+    trailing = np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1]
+    leading = np.logical_and.accumulate(zero, axis=1)
+    units = leading.copy()
+    units[:, 3] = False
+    return tuple(
+        _ascii_words(np.concatenate([d + 48, np.where(cut, 0, d + 48)]))
+        for cut in (trailing, leading, units)
+    )
+
+
+#: the word before the integer digits, [",", NUL, sign, top digit], indexed
+#: 11 * negative + top digit, 10 for none
+_HEAD = _ascii_words(
+    [[44, 0, 45 * neg, 48 + top if top < 10 else 0] for neg in (0, 1) for top in range(11)]
+)
+#: the top fraction digit's word, indexed digit + 10 * (fraction is zero)
+_FRACTION_TOP = _ascii_words(
+    [[0, 0, 0, 0 if zero else 48 + top] for zero in (0, 1) for top in range(10)]
+)
+#: the point and the zeros after it, [".", "0", "0", "0"] as far as they are
+#: printed, indexed e + 4 + 21 * (fraction is nonzero) for exponent e
+_POINT = _ascii_words(
+    [[46 * (frac or e < 0)] + [48 * (k < -e - 1) for k in range(3)]
+     for frac in (0, 1) for e in range(-4, 17)]
+)
 
 
 @dataclass
@@ -310,11 +373,15 @@ def open_path_csv(name, mode: str):
 def write_path_csv(path: ObservedPath, dest) -> None:
     """Write the observed path as CSV with header `i,t,x`.
 
-    Row i is `%d,%.17g,%.17g` of (i, i * delta, x_i), each line ending in
-    `\\n`: 17 significant digits read back to the same float64, so x and
-    t_i = i * delta round-trip exactly.  Rows are formatted and written
-    _CSV_ROWS at a time, one join and one write per block, so memory stays
-    bounded for any n.  A directory as `dest` raises DomainError.
+    Row i is the text of `"%d,%.17g,%.17g\\n" % (i, i * delta, x_i)`: 17
+    significant digits read back to the same float64, so x and
+    t_i = i * delta round-trip exactly.  The digits of t_i and x_i are
+    computed in numpy (`_format_rows`) wherever `%.17g` prints them in
+    fixed notation, 1e-4 <= |v| < 1e17; a row with another value (0, NaN,
+    +-inf, a subnormal or any |v| outside that range) is formatted by `%`
+    itself, in its place.  Rows are formatted and written _CSV_ROWS at a
+    time, one write per block, so memory stays bounded for any n.  A
+    directory as `dest` raises DomainError.
     """
     own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
     fh = open_path_csv(dest, "w") if own else dest
@@ -324,14 +391,138 @@ def write_path_csv(path: ObservedPath, dest) -> None:
         x = path.x
         for lo in range(0, x.size, _CSV_ROWS):
             hi = min(lo + _CSV_ROWS, x.size)
-            t = (np.arange(lo, hi) * delta).tolist()  # the IEEE product i * delta
-            # joined, not one `%` over a repeated format: that call's growing
-            # output left the heap 0.5 MB larger per path written at n = 2^17
-            rows = zip(range(lo, hi), t, x[lo:hi].tolist())
-            fh.write("".join(map("%d,%.17g,%.17g\n".__mod__, rows)))
+            # the IEEE product i * delta
+            fh.write(_format_rows(lo, np.arange(lo, hi) * delta, x[lo:hi]))
     finally:
         if own:
             fh.close()
+
+
+def _format_rows(first: int, t: np.ndarray, x: np.ndarray) -> str:
+    """The text of `"%d,%.17g,%.17g\\n" % (i, t_k, x_k)` for each k, i = first + k.
+
+    Each row is laid out as NUL-padded uint32 words (`_row_words`), and the
+    NULs are dropped from the words of each run of rows the layout covers;
+    the rows between these runs are formatted by `%`.
+    """
+    count = t.size
+    v = np.stack([t, x])
+    a = np.abs(v)
+    good = (a >= _FIXED_RANGE[0]) & (a < _FIXED_RANGE[1])  # False for NaN
+    np.copyto(a, 1.0, where=~good)  # no log10 or integer cast sees the others
+    words, exact = _row_words(first, v, a)
+    good &= exact
+    good = good[0] & good[1]
+    cuts = [0, *(np.flatnonzero(np.diff(good)) + 1).tolist(), count]
+    parts = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if good[lo]:
+            parts.append(words[:, lo:hi].T.tobytes().translate(None, b"\0").decode("ascii"))
+        else:
+            rows = zip(range(first + lo, first + hi), t[lo:hi].tolist(), x[lo:hi].tolist())
+            parts.append("".join(map("%d,%.17g,%.17g\n".__mod__, rows)))
+    return "".join(parts)
+
+
+def _row_words(first: int, v: np.ndarray, a: np.ndarray):
+    """(words, exact): the CSV rows of (i, v[0, k], v[1, k]), i = first + k,
+    as the columns of a (_ROW_WORDS, k) uint32 array of NUL-padded ASCII;
+    a = |v| within _FIXED_RANGE.  exact, of v's shape, is False where the
+    17 digits could not be placed (i >= 10^8 or a decimal exponent that two
+    estimates missed); such rows must be formatted otherwise.
+
+    A number is laid out as [",", NUL, sign, top digit] and four chunks of
+    the integer part, leading zeros dropped, then the point with the zeros
+    that follow it below 0.1, then the top digit and four chunks of the
+    fraction, trailing zeros dropped.
+    """
+    fraction, integer, units = _chunk_words()
+    count = v.shape[1]
+    words = np.empty((_ROW_WORDS, count), dtype=np.uint32)
+    i = np.arange(first, first + count)
+    high, low = np.divmod(i, 10000)
+    words[0] = integer.take(np.minimum(high, 9999) + 10000)  # i < 10^8 is exact
+    words[1] = units.take(low + 10000 * (high == 0))
+    words[-1] = 10  # "\n"
+    e, d = _decimal(a.ravel())
+    exact = ((d >= 10**16) & (d < 10**17)).reshape(v.shape) & (i < 10**8)
+    scale = _POW10_INT.take(16 - e)
+    whole = d // scale
+    frac = (d - whole * scale) * _POW10_INT.take(np.maximum(e + 1, 0))
+    numbers = words[2:-1].reshape(2, _NUMBER_WORDS, count)
+
+    def put(k, values):
+        numbers[:, k] = values.reshape(2, count)
+
+    top, *chunks = _chunks(whole)
+    lead = top == 0
+    put(0, _HEAD.take(11 * (v.ravel() < 0) + np.where(lead, 10, top)))
+    for k, chunk in enumerate(chunks[:3], 1):
+        put(k, integer.take(chunk + 10000 * lead))
+        lead &= chunk == 0
+    put(4, units.take(chunks[3] + 10000 * lead))
+    top, *chunks = _chunks(frac)
+    zero = np.ones(d.size, dtype=bool)
+    for k, chunk in zip(range(10, 6, -1), chunks[::-1]):
+        put(k, fraction.take(chunk + 10000 * zero))
+        zero &= chunk == 0
+    zero &= top == 0
+    put(6, _FRACTION_TOP.take(top + 10 * zero))
+    put(5, _POINT.take(e + 4 + 21 * ~zero))
+    return words, exact
+
+
+def _chunks(v: np.ndarray):
+    """The digits of int64 v < 10^17, 17 with leading zeros, as uint32 arrays:
+    the top digit and four 4-digit chunks, most significant first."""
+    high = v // 10**8
+    low = (v - high * 10**8).astype(np.uint32)
+    high = high.astype(np.uint32)
+    top = high // 10**8
+    high -= top * 10**8
+    mid, low_mid = high // 10000, low // 10000
+    return top, mid, high - mid * 10000, low_mid, low - low_mid * 10000
+
+
+def _decimal(a: np.ndarray):
+    """(e, d): the decimal exponent e in [-4, 16] and the 17 significant
+    digits d, as int64 in [10^16, 10^17), of each a in _FIXED_RANGE, so that
+    a = d 10^(e - 16) rounded half to even, as `%.17g` rounds.
+
+    e starts from log10 and is corrected once where d leaves its range; a d
+    still outside it marks a value this does not place.
+    """
+    e = np.floor(np.log10(a)).astype(np.intp)
+    np.clip(e, -4, 16, out=e)
+    d = _mantissa(a, e)
+    off = (d >= 10**17).astype(np.intp) - (d < 10**16)
+    if off.any():
+        fix = np.flatnonzero(off)
+        e[fix] = np.clip(e[fix] + off[fix], -4, 16)
+        d[fix] = _mantissa(a[fix], e[fix])
+    return e, d
+
+
+def _mantissa(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """a 10^(16 - e) rounded to an integer, half to even, as int64.
+
+    Dekker's TwoProduct (1971) gives the product exactly as hi + lo, both
+    doubles; where the result is at least 2^53, hi is an integer, and the
+    result is hi plus lo rounded.
+    """
+    q = 16 - e
+    scale, scale_hi, scale_lo = _POW10.take(q), _POW10_HI.take(q), _POW10_LO.take(q)
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    hi = a * scale
+    lo = ((a_hi * scale_hi - hi) + a_hi * scale_lo + a_lo * scale_hi) + a_lo * scale_lo
+    floor = np.floor(lo)
+    rest = lo - floor
+    d = hi.astype(np.int64)
+    d += floor.astype(np.int64)
+    d += (rest > 0.5) | ((rest == 0.5) & (d % 2 == 1))
+    return d
 
 
 def read_path_csv(src) -> tuple[np.ndarray, float]:

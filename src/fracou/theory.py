@@ -270,8 +270,10 @@ def _ew_generators(e0: float, g: float, w: np.ndarray, power: np.ndarray, scan: 
     return c, a, b
 
 
-def _trace_ew_square(e0: float, g: float, rate: float, w: np.ndarray) -> float:
-    """trace((E W)^2) for E, W of `_ew_generators`, in O(N) time and memory.
+def _trace_ew_square(e0: float, g: float, rate: float, w: np.ndarray, scans=None) -> float:
+    """trace((E W)^2) for E, W of `_ew_generators`, in O(N) time and memory;
+    `scans`, `_DecayScan`s at ratios r and r^2 for at least N + 1 and N
+    values, spare building them.
 
     trace = sum_i C[i, i]^2 + 2 sum_{k<i} C[i, k] C[k, i].  For k < i and
     d = i - k, C[i, k] = c[d] + g r^d a[k] - g r^(N-1-i) b[k] and, by
@@ -286,7 +288,7 @@ def _trace_ew_square(e0: float, g: float, rate: float, w: np.ndarray) -> float:
     """
     n = w.size
     power = np.exp(-rate * np.arange(n))  # r^m
-    scan = _DecayScan(rate, n + 1)
+    scan, scan_sq = scans or (_DecayScan(rate, n + 1), _DecayScan(2.0 * rate, n))
     c, a, b = _ew_generators(e0, g, w, power, scan)
     a_rev, b_rev = a[::-1], b[::-1]
     pb_rev = power * b_rev  # r^i b[N-1-i]
@@ -302,7 +304,7 @@ def _trace_ew_square(e0: float, g: float, rate: float, w: np.ndarray) -> float:
     # c b, twice: sum_i b[N-1-i] sum_{k<i} c[i-k] r^k
     pairs -= 2.0 * g * float(b_rev @ scan(c_tail))
     # a a: sum_i a[N-1-i] sum_{k<i} r^(2(i-k)) a[k]
-    a_scan = _DecayScan(2.0 * rate, n)(a)
+    a_scan = scan_sq(a)
     pairs += g * g * math.exp(-2.0 * rate) * float(a_rev[1:] @ a_scan[:-1])
     # a b, twice: sum_i r^i b[N-1-i] sum_{k<i} a[k]
     pairs -= 2.0 * g * g * float(pb_rev[1:] @ a_cum[:-1])
@@ -312,7 +314,7 @@ def _trace_ew_square(e0: float, g: float, rate: float, w: np.ndarray) -> float:
 
 
 def _ef2_fixed_mesh(
-    theta: float, hurst: float, horizon: float, cells: int, second_diff=None
+    theta: float, hurst: float, horizon: float, cells: int, second_diff=None, scans=None
 ) -> float:
     """Trace-form product quadrature of the 4-D variance integral.
 
@@ -325,7 +327,8 @@ def _ef2_fixed_mesh(
     entries e0 and g e^(-theta h (k-1)), so `_trace_ew_square` evaluates it
     from (e0, g, theta h) and the first column of W in O(cells) time and
     memory, with no matrix formed.  `second_diff`, at least `cells` values of
-    power_second_difference(k, 2H), k = 0, 1, ..., spares recomputing them.
+    power_second_difference(k, 2H), k = 0, 1, ..., spares recomputing them,
+    and `scans` goes to `_trace_ew_square`.
     """
     h = horizon / cells
     e0, g = _exp_cell_weights(theta * h)
@@ -333,7 +336,7 @@ def _ef2_fixed_mesh(
     if second_diff is None:
         second_diff = power_second_difference(np.arange(cells), two_h)
     wcol = h**two_h / (two_h * (two_h - 1.0)) * second_diff[:cells]
-    quad = _trace_ew_square(e0, g, theta * h, wcol)
+    quad = _trace_ew_square(e0, g, theta * h, wcol, scans)
     return (hurst * (two_h - 1.0)) ** 2 / (2.0 * horizon) * quad
 
 
@@ -351,8 +354,18 @@ def ef2_quadrature(params: ModelParams, horizon: float, cells: int | None = None
         cells = max(300, int(24 * horizon))
     # the coarse mesh's W column is the first half of the fine one's
     second_diff = power_second_difference(np.arange(2 * cells), 2.0 * params.hurst)
-    coarse = _ef2_fixed_mesh(params.theta, params.hurst, horizon, cells, second_diff)
-    fine = _ef2_fixed_mesh(params.theta, params.hurst, horizon, 2 * cells, second_diff)
+    # theta h halves exactly on the fine mesh, so its scan at r^2 is the
+    # coarse mesh's scan at r: one build serves both
+    rate = params.theta * (horizon / cells)
+    shared = _DecayScan(rate, 2 * cells)
+    coarse_scans = (shared, _DecayScan(2.0 * rate, cells))
+    fine_scans = (_DecayScan(0.5 * rate, 2 * cells + 1), shared)
+    coarse = _ef2_fixed_mesh(
+        params.theta, params.hurst, horizon, cells, second_diff, coarse_scans
+    )
+    fine = _ef2_fixed_mesh(
+        params.theta, params.hurst, horizon, 2 * cells, second_diff, fine_scans
+    )
     return (4.0 * fine - coarse) / 3.0
 
 

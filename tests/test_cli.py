@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import warnings
@@ -7,7 +8,9 @@ import pytest
 
 from fracou import fou, lse, montecarlo
 from fracou.cli import main
+from fracou.fbm import RngSeed
 from fracou.fou import read_path_csv
+from test_fou import _reference_csv
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -91,6 +94,27 @@ def test_estimate_roundtrip(tmp_path, capsys):
     assert doc["n"] == 64
     assert doc["delta"] == pytest.approx(0.1, rel=1e-12)
     assert set(doc) == {"theta_hat", "numerator", "denominator", "n", "delta"}
+
+
+@pytest.mark.parametrize(
+    "x0, delta",
+    [(1e200, None), (0.0, None), (0.0, 1e300)],
+    ids=["x0=1e200", "x0=0", "delta=1e300"],
+)
+def test_simulate_estimate_roundtrip_through_percent_rows(tmp_path, capsys, x0, delta):
+    # rows outside the numpy digits' range (x beyond 1e17, t_0 = 0, x near 0,
+    # t beyond 1e17) are formatted by `%` in their places, across blocks
+    n = 2 * fou._CSV_ROWS + 3
+    scheme = fou.SamplingScheme(n, delta) if delta else fou.SamplingScheme.from_gamma(n, 0.6)
+    grid = ["--delta", repr(delta)] if delta else ["--gamma", "0.6"]
+    out = tmp_path / "path.csv"
+    args = ["simulate", "--theta", "1", "--hurst", "0.7", "--n", str(n), "--x0", repr(x0)]
+    assert run_cli(args + grid + ["--seed", "5", "--out", str(out)]) == 0
+    assert run_cli(["estimate", "--in", str(out)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    path = fou.simulate_path(fou.ModelParams(1.0, 0.7, x0), scheme, RngSeed(5))
+    assert doc == dataclasses.asdict(lse.estimate_series(path.x, scheme.delta))
+    assert out.read_bytes() == _reference_csv(path).encode()
 
 
 def test_estimate_prints_finite_json_beyond_float_range(tmp_path, capsys):
@@ -373,6 +397,7 @@ def test_mc_malformed_config_exits_2(tmp_path, capsys, overrides):
         {"ef2_mode": "quadrature", "schedule": [{"n": 16, "delta": 6.25}]},  # T = 100
         {"schedule": [{"n": 16, "delta": 0.25}, {"n": 2**24, "delta": 0.25}]},
         {"seed": -1},
+        {"out_json": "report.out", "out_csv": "report.out"},
     ],
 )
 def test_mc_invalid_config_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, overrides):
@@ -381,6 +406,26 @@ def test_mc_invalid_config_exits_2_before_any_draw(tmp_path, capsys, monkeypatch
     assert run_cli(["mc", str(cfg), "--threads", "1"]) == 2
     err = capsys.readouterr().err
     assert "replication failed" not in err and "a replication was drawn" not in err
+
+
+@pytest.mark.parametrize("key", ["out_json", "out_csv"])
+def test_mc_output_directory_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, key):
+    _forbid_draws(monkeypatch)
+    other = tmp_path / "other.out"
+    outputs = {"out_json": str(other), "out_csv": str(other), key: str(tmp_path)}
+    assert run_cli(["mc", str(_mc_config(tmp_path, **outputs)), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"\nerror: mc {key} {str(tmp_path)!r} is a directory\n")
+    assert not other.exists()  # out_json, opened before out_csv, is removed
+
+
+def test_mc_removes_its_outputs_when_the_study_fails(tmp_path, capsys, monkeypatch):
+    _forbid_draws(monkeypatch)
+    out_json, out_csv = tmp_path / "report.json", tmp_path / "report.csv"
+    cfg = _mc_config(tmp_path, out_json=str(out_json), out_csv=str(out_csv))
+    assert run_cli(["mc", str(cfg), "--threads", "1"]) == 1
+    assert "a replication was drawn" in capsys.readouterr().err
+    assert not out_json.exists() and not out_csv.exists()
 
 
 def _forbid_draws(monkeypatch):

@@ -1,3 +1,4 @@
+import decimal
 import io
 import math
 import tracemalloc
@@ -338,6 +339,116 @@ def test_csv_bytes_match_row_reference_across_blocks(kind):
         path = ObservedPath(PARAMS, scheme, np.resize(np.array(edge), n + 1))
     buf = io.StringIO()
     write_path_csv(path, buf)
+    assert buf.getvalue() == _reference_csv(path)
+
+
+def _reference_rows(first, t, x):
+    rows = zip(range(first, first + t.size), t.tolist(), x.tolist())
+    return "".join(map("%d,%.17g,%.17g\n".__mod__, rows))
+
+
+def _assert_rows_match_reference(t, x, first=0):
+    # block by block, as write_path_csv formats them
+    for lo in range(0, t.size, fou._CSV_ROWS):
+        hi = min(lo + fou._CSV_ROWS, t.size)
+        got = fou._format_rows(first + lo, t[lo:hi], x[lo:hi])
+        want = _reference_rows(first + lo, t[lo:hi], x[lo:hi])
+        if got != want:
+            pairs = zip(got.splitlines(), want.splitlines())
+            first = next(p for p in pairs if p[0] != p[1])
+            pytest.fail(f"first differing row (got, want): {first}")
+
+
+def _ties():
+    # m 2^-k = m 5^k 10^-k has exactly 18 significant digits, ending in 5, when
+    # m is odd and m 5^k has 18 digits: a tie at 17, rounded half to even;
+    # k = 2..21 puts one at each decimal exponent from 15 down to -4
+    out = []
+    for k in range(2, 22):
+        m = -(-(10**17) // 5**k) | 1
+        out += [math.ldexp(m + 2 * j, -k) for j in range(8)]
+    assert math.ldexp(26215, -18) in out
+    for v in out:
+        digits = decimal.Decimal(v).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    return out
+
+
+def test_csv_digits_match_percent_format_on_chosen_values():
+    rng = np.random.default_rng(2026)
+    values = []
+    for e in range(-4, 17):
+        power = float(f"1e{e}")
+        values += [power, np.nextafter(power, 0.0), np.nextafter(power, np.inf)]
+        values += list(rng.uniform(1.0, 10.0, 20) * power)
+        # short decimals: their 17-digit forms end in zeros, some of them
+        # reached by rounding that carries through a run of 9s, and from
+        # e >= 1 on some are integers whose zeros stay
+        for digits in range(1, 17):
+            m = rng.integers(10 ** (digits - 1), 10**digits, 3)
+            values += [float(f"{k}e{e - digits + 1}") for k in m]
+    values.append(np.nextafter(1e17, 0.0))  # 99999999999999984, the largest in range
+    values += _ties()
+    values = np.array(values)
+    values = np.concatenate([values, -values])
+    assert set(np.floor(np.log10(np.abs(values))).astype(int)) >= set(range(-4, 17))
+    # each one in range placed by the numpy digits, log10 corrected below
+    # powers of ten
+    inside = np.abs(values[np.abs(values) >= 1e-4])
+    e, d = fou._decimal(inside)
+    placed = [f"{m // 10**16}.{m % 10**16:016d}e{k:+03d}" for m, k in zip(d.tolist(), e.tolist())]
+    assert placed == ["%.16e" % v for v in inside.tolist()]
+    _assert_rows_match_reference(values, rng.permutation(values), first=9990)
+    # i itself: 1 to 8 digits, and the `%` rows from i = 10^8 on
+    _assert_rows_match_reference(values[:8], values[8:16], first=10**8 - 4)
+    _assert_rows_match_reference(values[:8], values[8:16], first=10**9 + 12345)
+
+
+def test_csv_digits_match_percent_format_on_random_doubles():
+    # 2^20 doubles with random significands, binary exponents 2^-20..2^61 on
+    # both sides of the fixed-notation range, and one in 8 of the x column
+    # any bit pattern at all (subnormals, NaN, inf)
+    rng = np.random.default_rng(77)
+    rows = 2**19
+    bits = rng.integers(0, 2**63, (2, rows), dtype=np.uint64, endpoint=True)
+    exponent = rng.integers(1023 - 20, 1023 + 61, (2, rows), dtype=np.uint64)
+    wild = np.zeros((2, rows), dtype=bool)
+    wild[1, ::8] = True
+    tame = (bits & np.uint64(2**52 - 1 | 2**63)) | (exponent << np.uint64(52))
+    bits = np.where(wild, bits, tame)
+    t, x = bits.view(np.float64)
+    _assert_rows_match_reference(t, x)
+
+
+#: values `%` formats in place of the numpy digits: outside 1e-4 <= |v| < 1e17
+FALLBACK_VALUES = [
+    0.0, -0.0, 5e-324, -2.5e-310, 5e-5, -np.nextafter(1e-4, 0.0), 1e17, -1e200,
+    np.nan, np.inf, -np.inf,
+]
+
+
+@pytest.mark.parametrize("value", FALLBACK_VALUES, ids=repr)
+def test_csv_fallback_rows_keep_their_place(value):
+    n = 2 * fou._CSV_ROWS + 3
+    x = np.random.default_rng(8).standard_normal(n + 1) + 5.0
+    # alone and in a run within a block, on both sides of a block boundary,
+    # and a run across the next one
+    for i in [100, 2000, 2001, 2002, fou._CSV_ROWS - 1, fou._CSV_ROWS]:
+        x[i] = value
+    x[2 * fou._CSV_ROWS - 2 : 2 * fou._CSV_ROWS + 2] = value
+    path = ObservedPath(PARAMS, SamplingScheme(n=n, delta=n**-0.6), x)
+    buf = io.StringIO()
+    write_path_csv(path, buf)
+    assert buf.getvalue() == _reference_csv(path)
+
+
+def test_csv_write_raises_no_warning_on_special_values():
+    x = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1.5, 1e300])
+    path = ObservedPath(PARAMS, SamplingScheme(n=x.size - 1, delta=0.1), x)
+    buf = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_path_csv(path, buf)
     assert buf.getvalue() == _reference_csv(path)
 
 
