@@ -32,12 +32,20 @@ computes the digits in numpy: for each value that `%.17g` prints in fixed
 notation, 1e-4 <= |v| < 1e17, Dekker's error-free product (1971) gives
 |v| 10^(16 - e) exactly, whose rounding to an integer, half to even, is the
 17 correctly rounded digits; any other row is formatted by `%` itself.
+`read_path_csv` runs that proof in reverse: it reads blocks of whole lines,
+takes each field's digits d and point position k from one integer parse,
+and keeps d / 10^k where `_mantissa` prints it back as d, which makes it
+the correctly rounded value; other fields go to `float`, and blocks in
+another form to `np.loadtxt`, so each file reads as `np.loadtxt` reads it.
 
 Drawing a path and `exact_second_moment` need numpy only.
 """
 
 import csv
+import io
+import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -72,6 +80,17 @@ _BLOCK_DECAY = 64.0
 
 #: rows per formatted block of `write_path_csv`
 _CSV_ROWS = 4096
+#: bytes per read of `read_path_csv`, 160 KB: about 3600 rows of a simulated
+#: path.  In a process that simulates at n = 2^17 between reads, as perfbench's
+#: `path_roundtrip` does, 180 KB reads let the C heap grow by about 0.5 MB per
+#: read; 96, 128, 160, 192 and 256 KB held it within 0.02 MB per read.
+_READ_BYTES = 40 * _CSV_ROWS
+#: the ",", ",", "\n" that end the fields of a row
+_ROW_SEPS = np.array([44, 44, 10], dtype=np.uint8)
+#: True for the digit counts 1..17 of an integer below 10^18
+_SIGNIFICANT = (np.arange(19) >= 1) & (np.arange(19) <= 17)
+#: with "-.e+" deleted, the digits of each field, all fields split by ","
+_DIGITS = bytes.maketrans(b"\n", b",")
 
 #: 2^27 + 1, Veltkamp's constant: c = s a splits a into a - (c - (c - a)) and
 #: the rest, two halves of 26 bits whose products are exact doubles
@@ -362,9 +381,11 @@ def exact_second_moment(params: ModelParams, t: float) -> float:
 
 
 def open_path_csv(name, mode: str):
-    """The path CSV file `name` opened as UTF-8 text for reading ("r") or
-    writing ("w"); a directory raises DomainError."""
+    """The path CSV file `name` opened for reading as bytes ("rb") or for
+    writing as UTF-8 text ("w"); a directory raises DomainError."""
     try:
+        if "b" in mode:
+            return open(name, mode)
         return open(name, mode, newline="", encoding="utf-8")
     except IsADirectoryError as exc:
         raise DomainError(f"path CSV {name!r} is a directory") from exc
@@ -528,44 +549,238 @@ def _mantissa(a: np.ndarray, e: np.ndarray) -> np.ndarray:
 def read_path_csv(src) -> tuple[np.ndarray, float]:
     """Read a path CSV produced by write_path_csv; returns (x, delta).
 
+    `src` is a file name or a file object, text or binary.  The rows are
+    read in blocks of whole lines, about _READ_BYTES at a time, so memory
+    beyond x stays bounded for any n.  A block of rows in the form the
+    writer prints, "i,t,x" with i in digits and t and x in fixed or
+    exponent notation, is parsed by `_parse_rows`; any other block (spaces,
+    CR, "inf", "nan", "1E5", a point, sign or exponent in the i column,
+    bytes outside ASCII ...) by `np.loadtxt` on its UTF-8 text.  Either
+    way x holds the floats of one `np.loadtxt` over the whole file, and a
+    file is rejected where that `np.loadtxt` rejects it.
+
     The `i` column must count 0..n and the times must be finite and satisfy
     |t_i - i * delta| <= 1e-9 * max(1, |t_i|) with delta = t_1 - t_0
     positive and finite.
-    A directory, text that is not UTF-8 and malformed rows raise DomainError.
+    A directory, text that is not UTF-8 and malformed rows raise DomainError;
+    a malformed row is named by its place among the rows of the file,
+    counted from 0 as `np.loadtxt` counts them.
     """
     own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
-    fh = open_path_csv(src, "r") if own else src
+    fh = open_path_csv(src, "rb") if own else src
     try:
-        header = next(csv.reader([fh.readline()]), None)
+        blocks = _line_blocks(fh)
+        block = next(blocks, b"")
+        head = _line_length(block)
+        header = next(csv.reader([_utf8(block[:head])]), None)
         if header != ["i", "t", "x"]:
             raise DomainError(f"expected CSV header i,t,x, got {header}")
-        with warnings.catch_warnings():
-            # a CSV with no rows fails the length test below, not with a warning
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"path CSV is not UTF-8 text: {exc.reason}") from exc
-    except DomainError:
-        raise
-    except ValueError as exc:
-        raise DomainError(f"malformed path CSV: {exc}") from exc
+        xs, ts, count, delta = [], [], 0, None
+        for block in itertools.chain([block[head:]], blocks):
+            idx, t, x = _parse_rows(block, count) or _loadtxt_rows(block, count)
+            if not np.array_equal(idx, np.arange(count, count + idx.size)):
+                raise DomainError("column i must count 0, 1, ..., n")
+            if not np.all(np.isfinite(t)):
+                raise DomainError("time column must be finite")
+            # the times wait for their grid check until t_0 and t_1 are known
+            ts.append((count, t))
+            xs.append(x)
+            count += x.size
+            if count < 2:
+                continue
+            if delta is None:
+                t0, t1 = np.concatenate([times for _, times in ts])[:2].tolist()
+                delta = t1 - t0
+                if not 0.0 < delta < math.inf:
+                    raise DomainError(
+                        "time column must be strictly increasing with a finite step"
+                    )
+            for lo, times in ts:
+                _check_grid(times, lo, delta)
+            ts.clear()
     finally:
         if own:
             fh.close()
-    if rows.shape[0] < 3:
+    if count < 3:
         raise DomainError("path CSV must contain at least 3 observations")
-    if rows.shape[1] != 3:
-        raise DomainError(f"path CSV rows must have 3 columns, got {rows.shape[1]}")
-    idx, t, x = rows.T
-    if not np.array_equal(idx, np.arange(idx.size)):
-        raise DomainError("column i must count 0, 1, ..., n")
-    if not np.all(np.isfinite(t)):
-        raise DomainError("time column must be finite")
-    delta = float(t[1]) - float(t[0])
-    if not 0.0 < delta < math.inf:
-        raise DomainError("time column must be strictly increasing with a finite step")
+    return np.concatenate(xs), delta
+
+
+def _check_grid(t: np.ndarray, first: int, delta: float) -> None:
+    # t_k against (first + k) * delta, the IEEE product
     with np.errstate(over="ignore"):  # i * delta overflowing to inf is off the grid
-        off_grid = np.abs(t - idx * delta) > 1e-9 * np.maximum(1.0, np.abs(t))
+        grid = np.arange(first, first + t.size) * delta
+        off_grid = np.abs(t - grid) > 1e-9 * np.maximum(1.0, np.abs(t))
     if off_grid.any():
         raise DomainError("time column is not equidistant: need t_i = i * delta")
-    return np.ascontiguousarray(x), delta
+
+
+def _utf8(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"path CSV is not UTF-8 text: {exc.reason}") from exc
+
+
+def _line_blocks(fh):
+    """The bytes of fh in blocks of whole lines, each cut after the last
+    newline of about _READ_BYTES read; a last line without a newline gets
+    one.  Text read from a text file object is encoded as UTF-8."""
+    carry = b""
+    while chunk := fh.read(_READ_BYTES):
+        if isinstance(chunk, str):
+            chunk = chunk.encode("utf-8", "surrogatepass")
+        chunk = carry + chunk
+        cut = chunk.rfind(b"\n") + 1
+        carry, chunk = chunk[cut:], chunk[:cut]
+        if chunk:
+            yield chunk
+    if carry:
+        yield carry + b"\n"
+
+
+def _line_length(block: bytes) -> int:
+    # the length of the first line with its end, as text files opened with
+    # newline="" read it: "\n", "\r\n" or a lone "\r"
+    lf, cr = block.find(b"\n"), block.find(b"\r")
+    if cr >= 0 and (lf < 0 or cr < lf - 1):
+        return cr + 1
+    return lf + 1
+
+
+def _loadtxt_rows(block: bytes, first: int):
+    """(i, t, x) of the rows of `block` by np.loadtxt on its UTF-8 text; the
+    row numbers in its errors are counted from row `first` of the file."""
+    text = io.StringIO(_utf8(block), newline="")
+    with warnings.catch_warnings():
+        # a block of blank lines holds no rows, which is no error
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            rows = np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            shifted = re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + first}", str(exc))
+            raise DomainError(f"malformed path CSV: {shifted}") from exc
+    if rows.size == 0:
+        return (np.empty(0),) * 3
+    if rows.shape[1] != 3:
+        raise DomainError(f"path CSV rows must have 3 columns, got {rows.shape[1]}")
+    return rows[:, 0], rows[:, 1], rows[:, 2].copy()
+
+
+def _parse_rows(block: bytes, first: int):
+    """(i, t, x) of the rows of `block`, whole lines "i,t,x" with i in
+    digits only, or None for a block this does not parse.  Row `first` of
+    the file is the block's first.
+
+    A t or x field of the form -?D+(.D+)? takes d / 10^k where `_proved`
+    shows that to be its correctly rounded value; every other one is
+    converted by `float`, as `np.loadtxt` converts it.
+    """
+    if not block:
+        return (np.empty(0),) * 3
+    fields = _fields(block)
+    if fields is None:
+        return None
+    idx, d, k, neg, plain, start, end = fields
+    y, proved = _proved(d, k, plain)
+    np.negative(y, out=y, where=neg)
+    other = np.flatnonzero(~proved)
+    if other.size:
+        y[other] = _float_fields(block, start[other], end[other], first + other // 2, other % 2 + 2)
+    return idx, y[::2], y[1::2].copy()
+
+
+def _fields(block: bytes):
+    """(i, d, k, neg, plain, start, end) of the rows of a nonempty `block`
+    in the form of `_parse_rows`, or None: the values of the i column, and
+    of each t and x field, t_0, x_0, t_1, ..., its digits as an integer d,
+    the number k of them after the point, its sign, whether it has the
+    form -?D+(.D+)? and where it starts and ends in the block.
+
+    One scan finds every byte that is not a digit; the digits of every
+    field, with "-.e+" deleted, come from one int64 `np.fromstring`, which
+    fails on any field it cannot read as an integer.  A block with more
+    "e"s than half its rows, mostly numbers in exponent form, which no
+    proof here covers, is left to `np.loadtxt`: its conversion costs less
+    than a `float` call per field.
+    """
+    b = np.frombuffer(block, dtype=np.uint8)
+    if b"e" in block and 2 * np.count_nonzero(b == 101) > np.count_nonzero(b == 10):
+        return None
+    pos = np.flatnonzero((b - 48) > 9)  # uint8 arithmetic wraps bytes below "0"
+    code = b[pos]
+    at = np.flatnonzero((code == 44) | (code == 10))  # the end of each field
+    rows = at.size // 3
+    if at.size % 3 or not (code[at].reshape(rows, 3) == _ROW_SEPS).all():
+        return None
+    marks = (np.diff(at, prepend=-1) - 1).reshape(rows, 3)  # non-digits per field
+    if marks[:, 0].any():  # i in digits only
+        return None
+    try:
+        d = np.fromstring(block.translate(_DIGITS, b"-.e+"), dtype=np.int64, sep=",")
+    except ValueError:  # a field without digits
+        return None
+    if d.size != at.size:
+        return None
+    # from here on the t and x fields only, t_0, x_0, t_1, ...
+    d = d.reshape(rows, 3)
+    idx, d = d[:, 0].copy(), d[:, 1:].ravel()
+    ends = pos[at].reshape(rows, 3)
+    start, end = (ends[:, :2] + 1).ravel(), ends[:, 1:].ravel()
+    marks = marks[:, 1:].ravel()
+    last = at.reshape(rows, 3)[:, 1:].ravel() - 1  # the last non-digit before the end, if any
+    neg = b[start] == 45
+    point = code[last] == 46
+    k = np.where(point, end - pos[last] - 1, 0)
+    # a leading "-" and one point at most, the digits of d on either side
+    plain = (marks == neg) | ((marks == neg + 1) & point)
+    return idx, d, k, neg, plain, start, end
+
+
+def _proved(d: np.ndarray, k: np.ndarray, plain: np.ndarray):
+    """(y, proved): y = d 10^-k as float64, and proved where y is the
+    correctly rounded value of the decimal d 10^-k.
+
+    Where d has 1 to 17 digits and the decimal exponent e lies in [-4, 16],
+    the candidate d / 10^k is proved when its 17 digits by `_mantissa`,
+    rounded half to even, are d padded to 17 digits: the decimal then lies
+    within half a 17th-digit step of it, at most 5e-17 of the decimal, and
+    every other double lies more than 2^-54 ~ 5.55e-17 of it away, so none
+    is as close.  A candidate that misses is moved one ulp towards the
+    decimal and tried once more.  Elsewhere y is a placeholder.
+    """
+    digits = np.searchsorted(_POW10_INT[:18], d, side="right")  # 0 to 18
+    want = d * _POW10_INT.take(17 - digits)
+    good = plain & _SIGNIFICANT.take(digits)
+    e = np.subtract(digits, k + 1, out=digits)
+    good &= e >= -4
+    e *= good  # placeholders no power lookup or cast trips on
+    y = np.where(good, d / _POW10.take(k, mode="clip"), 1.0)
+    got = _mantissa(y, e)
+    proved = good & (got == want)
+    miss = np.flatnonzero(good ^ proved)
+    if miss.size:
+        want = want[miss]
+        near = np.nextafter(y[miss], np.where(got[miss] < want, np.inf, 0.0))
+        hit = _mantissa(near, e[miss]) == want
+        y[miss[hit]] = near[hit]
+        proved[miss[hit]] = True
+    return y, proved
+
+
+def _float_fields(block: bytes, start, end, row, col) -> list:
+    """`float` of the fields block[start:end]; a field it cannot convert
+    raises DomainError naming its row and column."""
+    text = list(map(block.__getitem__, map(slice, start.tolist(), end.tolist())))
+    try:
+        return list(map(float, text))
+    except ValueError:
+        for value, r, c in zip(text, row.tolist(), col.tolist()):
+            try:
+                float(value)
+            except ValueError as exc:
+                raise DomainError(
+                    f"malformed path CSV: could not convert string {value.decode()!r} "
+                    f"to float64 at row {r}, column {c}."
+                ) from exc
+        raise

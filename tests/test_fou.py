@@ -1,3 +1,4 @@
+import csv
 import decimal
 import io
 import math
@@ -483,3 +484,290 @@ def test_injected_increment_count_checked():
     bad = _zero_increments(SamplingScheme(n=8, delta=0.1, oversample=4), 0.7)
     with pytest.raises(DomainError):
         simulate_path(PARAMS, scheme, RngSeed(0), increments=bad)
+
+
+def _loadtxt_read(data: bytes):
+    """(x, delta) of a path CSV as one np.loadtxt over the whole text reads
+    it, with read_path_csv's checks: the reference the blocked reader must
+    match, value for value and in what it rejects (DomainError)."""
+    fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    try:
+        header = next(csv.reader([fh.readline()]), None)
+        if header != ["i", "t", "x"]:
+            raise DomainError(f"expected CSV header i,t,x, got {header}")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except DomainError:
+        raise
+    except ValueError as exc:  # UnicodeDecodeError too
+        raise DomainError(f"malformed path CSV: {exc}") from exc
+    if rows.shape[0] < 3:
+        raise DomainError("path CSV must contain at least 3 observations")
+    if rows.shape[1] != 3:
+        raise DomainError(f"path CSV rows must have 3 columns, got {rows.shape[1]}")
+    idx, t, x = rows.T
+    if not np.array_equal(idx, np.arange(idx.size)):
+        raise DomainError("column i must count 0, 1, ..., n")
+    if not np.all(np.isfinite(t)):
+        raise DomainError("time column must be finite")
+    delta = float(t[1]) - float(t[0])
+    if not 0.0 < delta < math.inf:
+        raise DomainError("time column must be strictly increasing with a finite step")
+    with np.errstate(over="ignore"):
+        off_grid = np.abs(t - idx * delta) > 1e-9 * np.maximum(1.0, np.abs(t))
+    if off_grid.any():
+        raise DomainError("time column is not equidistant: need t_i = i * delta")
+    return np.ascontiguousarray(x), delta
+
+
+def _read_or_error(read, src):
+    try:
+        return read(src)
+    except DomainError as exc:
+        return exc
+
+
+def _assert_reads_as_loadtxt(data: bytes):
+    want = _read_or_error(_loadtxt_read, data)
+    got = _read_or_error(read_path_csv, io.BytesIO(data))
+    if isinstance(want, DomainError):
+        assert isinstance(got, DomainError), "accepted a file np.loadtxt rejects"
+        return got, want
+    assert not isinstance(got, DomainError), f"rejected a file np.loadtxt reads: {got}"
+    assert got[1] == want[1]
+    assert got[0].flags.c_contiguous
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    return got, want
+
+
+def _path_csv(x, delta=0.01):
+    path = ObservedPath(PARAMS, SamplingScheme(n=x.size - 1, delta=delta), np.asarray(x))
+    buf = io.StringIO()
+    write_path_csv(path, buf)
+    return buf.getvalue().encode()
+
+
+def _blocks_of(text: bytes, rows: int):
+    lines = text.splitlines(keepends=True)
+    return [b"".join(lines[lo : lo + rows]) for lo in range(0, len(lines), rows)]
+
+
+def test_csv_read_values_match_loadtxt_on_random_doubles():
+    # 2^20 doubles as the writer prints them, random significands, binary
+    # exponents 2^-20..2^61 on both sides of the fixed-notation range; every
+    # block must be parsed, not handed to np.loadtxt, and give its bits
+    rng = np.random.default_rng(78)
+    rows = 2**19
+    bits = rng.integers(0, 2**63, (2, rows), dtype=np.uint64, endpoint=True)
+    exponent = rng.integers(1023 - 20, 1023 + 61, (2, rows), dtype=np.uint64)
+    bits = (bits & np.uint64(2**52 - 1 | 2**63)) | (exponent << np.uint64(52))
+    t, x = bits.view(np.float64)
+    text = "".join(
+        fou._format_rows(lo, t[lo : lo + fou._CSV_ROWS], x[lo : lo + fou._CSV_ROWS])
+        for lo in range(0, rows, fou._CSV_ROWS)
+    ).encode()
+    first = 0
+    for block in _blocks_of(text, fou._CSV_ROWS):
+        got = fou._parse_rows(block, first)
+        assert got is not None
+        want = np.loadtxt(io.StringIO(block.decode()), delimiter=",", comments=None).T
+        assert np.array_equal(got[0], want[0])
+        for column, reference in zip(got[1:], want[1:]):
+            assert np.array_equal(column.view(np.int64), reference.view(np.int64))
+        first += want.shape[1]
+    assert first == rows
+
+
+#: doubles whose text is hard to read back: ties of the 17th digit (see
+#: _ties), the powers of ten at the ends of the fixed-notation range and
+#: their neighbours, 2^53 +- 1, subnormals, zeros and the largest double
+READ_EDGES = [
+    0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-4, np.nextafter(1e-4, 0.0),
+    np.nextafter(1e-4, 1.0), 1e17, np.nextafter(1e17, 0.0), 2.0**53 - 1, 2.0**53, 2.0**53 + 2,
+    2.0**54 + 4, 0.1, 1 / 3, 1.7976931348623157e308, -1.7976931348623157e308,
+]
+
+
+def test_csv_read_values_match_loadtxt_on_edge_values():
+    edges = np.array(READ_EDGES + _ties())
+    x = np.concatenate([edges, -edges])
+    _assert_reads_as_loadtxt(_path_csv(x))
+    # one of each, alone in a block of ordinary values
+    x = np.resize(np.random.default_rng(3).standard_normal(1000), 3 * fou._CSV_ROWS + 5)
+    x[:: fou._CSV_ROWS // 4][: edges.size] = edges[: x[:: fou._CSV_ROWS // 4].size]
+    _assert_reads_as_loadtxt(_path_csv(x))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "9007199254740993",  # 2^53 + 1, a tie: even 2^53
+        "9007199254740995",  # 2^53 + 3, a tie: even 2^53 + 4
+        "18014398509481986",  # 2^54 + 2, a tie at 17 digits
+        "18014398509481990.0",
+        "4503599627370496.5",  # 2^52 + 1/2, a tie
+        "72057594037927944",  # 2^56 + 8, a tie
+        "0.30000000000000000555111512312578270211815834045410156250001",
+        "1234567890123456789012345",  # 25 digits
+        "-1234567890.123456789012345",
+        "0.0001",
+        "0.00009999999999999999",
+        "99999999999999999",  # 17 nines: rounds up to 10^17
+        "99999.999999999999",
+        "00000000000000000000001.5",
+        "1.00000000000000000000000000000",
+        "-0",
+        "-0.000",
+        "5",
+        "123456789012345678",
+    ],
+)
+def test_csv_read_values_match_loadtxt_on_written_decimals(text):
+    # decimals the writer does not print, in an x column of ordinary values
+    body = _path_csv(np.linspace(-2.0, 2.0, 51)).decode().splitlines()
+    for i in (1, 25, 50):
+        cells = body[i + 1].split(",")
+        body[i + 1] = ",".join(cells[:2] + [text])
+    _assert_reads_as_loadtxt(("\n".join(body) + "\n").encode())
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_csv_read_matches_loadtxt_at_block_sizes(blocks, shift):
+    n = blocks * fou._CSV_ROWS + shift
+    x = np.random.default_rng(n).standard_normal(n + 1)
+    data = _path_csv(x, delta=n**-0.6)
+    got, _ = _assert_reads_as_loadtxt(data)
+    assert np.array_equal(got[0], x)
+    _assert_reads_as_loadtxt(data[:-1])  # no final newline
+
+
+@pytest.mark.parametrize("size", [7, 64, 1000])
+def test_csv_read_is_the_same_for_any_read_size(monkeypatch, size):
+    # reads shorter than a line, a few lines and many lines: each block cut
+    # after its last newline, the rest carried over to the next read
+    x = np.random.default_rng(11).standard_normal(300) * 1e-3
+    data = _path_csv(x)
+    monkeypatch.setattr(fou, "_READ_BYTES", size)
+    got, _ = _assert_reads_as_loadtxt(data)
+    assert np.array_equal(got[0], x)
+    _assert_reads_as_loadtxt(data.replace(b"\n", b"\r\n"))
+    _assert_reads_as_loadtxt(data[:-1])
+
+
+def test_csv_read_from_path_text_and_bytes_agree(tmp_path):
+    x = np.random.default_rng(12).standard_normal(2 * fou._CSV_ROWS + 1)
+    data = _path_csv(x)
+    out = tmp_path / "path.csv"
+    out.write_bytes(data)
+    reads = [
+        read_path_csv(out),
+        read_path_csv(str(out)),
+        read_path_csv(io.StringIO(data.decode())),
+        read_path_csv(io.BytesIO(data)),
+    ]
+    for got, delta in reads:
+        assert np.array_equal(got, x) and delta == reads[0][1]
+
+
+def _late_row_edit(row, text):
+    # a path CSV of about three read blocks with x of one row in its third
+    # block replaced by `text` (bytes)
+    n = 3 * fou._CSV_ROWS
+    lines = _path_csv(np.random.default_rng(4).standard_normal(n + 1)).splitlines(keepends=True)
+    head, sep, _ = lines[row + 1].rpartition(b",")
+    lines[row + 1] = head + sep + text + b"\n"
+    return b"".join(lines)
+
+
+#: bodies of hand-written files that the writer never prints; each must be
+#: read as np.loadtxt reads it, or rejected by both
+NONCANONICAL = {
+    "spaces": "0, 0,0\n1 ,0.1, 1.5\n2,0.2 ,2\n",
+    "tab": "0,0,0\t\n1,0.1,1\n2,0.2,2\n",
+    "CRLF": "0,0,0\r\n1,0.1,1.5\r\n2,0.2,-2\r\n",
+    "lone CR": "0,0,0\r1,0.1,1.5\r2,0.2,-2\r",
+    "plus": "0,0,+1.5\n1,+0.1,1\n2,0.2,2\n",
+    "exponent E": "0,0,1E5\n1,0.1,1\n2,0.2,2\n",
+    "exponent e": "0,0,1e5\n1,1e-1,1e+0\n2,0.2,-2.5e-7\n",
+    "inf": "0,0,inf\n1,0.1,-inf\n2,0.2,2\n",
+    "nan": "0,0,nan\n1,0.1,1\n2,0.2,2\n",
+    "point in i": "0,0,0\n1.0,0.1,1\n2,0.2,2\n",
+    "exponent in i": "0,0,0\n1,0.1,1\n2e0,0.2,2\n",
+    "minus in i": "-0,0,0\n1,0.1,1\n2,0.2,2\n",
+    "25-digit i": "0,0,0\n0000000000000000000000001,0.1,1\n2,0.2,2\n",
+    "huge i": "0,0,0\n1,0.1,1\n18446744073709551618,0.2,2\n",
+    "minus zero": "0,-0,-0\n1,0.1,-0.0\n2,0.2,2\n",
+    "empty field": "0,0,0\n1,,1\n2,0.2,2\n",
+    "empty last field": "0,0,0\n1,0.1,\n2,0.2,2\n",
+    "two columns": "0,0\n1,0.1\n2,0.2\n",
+    "four columns": "0,0,0,0\n1,0.1,1,1\n2,0.2,2,2\n",
+    "a short row": "0,0,0\n1,0.1\n2,0.2,2\n",
+    "blank lines": "0,0,0\n\n1,0.1,1\n\n\n2,0.2,2\n",
+    "two points": "0,0,0\n1,0.1,1.2.3\n2,0.2,2\n",
+    "bare point": "0,0,0\n1,0.1,.\n2,0.2,2\n",
+    "bare minus": "0,0,0\n1,0.1,-\n2,0.2,2\n",
+    "double minus": "0,0,0\n1,0.1,--1\n2,0.2,2\n",
+    "inner minus": "0,0,0\n1,0.1,1-2\n2,0.2,2\n",
+    "leading point": "0,0,.5\n1,0.1,-.5\n2,0.2,2\n",
+    "trailing point": "0,0,5.\n1,0.1,-5.\n2,0.2,2\n",
+    "dangling exponent": "0,0,0\n1,0.1,1e\n2,0.2,2\n",
+    "underscore": "0,0,0\n1,0.1,1_0\n2,0.2,2\n",
+    "NUL": "0,0,0\n1,0.1,1\x00\n2,0.2,2\n",
+    "quoted": '0,0,0\n1,0.1,"1"\n2,0.2,2\n',
+    "no final newline": "0,0,0\n1,0.1,1\n2,0.2,2",
+}
+
+
+@pytest.mark.parametrize("body", NONCANONICAL.values(), ids=NONCANONICAL.keys())
+def test_csv_read_accepts_and_rejects_as_loadtxt(body):
+    _assert_reads_as_loadtxt(("i,t,x\n" + body).encode())
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b" 1.5", b"1.5\r", b"+1.5", b"1E5", b"inf", b"nan", b"-0", b"1.2.3", b"", b"1e", b"5.",
+     b"\xff", b"\xc3\xa9", b"1_0", b"12345678901234567890123456789"],
+    ids=repr,
+)
+def test_csv_read_accepts_and_rejects_as_loadtxt_in_a_late_block(text):
+    got, want = _assert_reads_as_loadtxt(_late_row_edit(2 * fou._CSV_ROWS + 100, text))
+    if text in (b"\xff",):
+        assert "not UTF-8" in str(got)
+
+
+@pytest.mark.parametrize("text", [b"abc", b"1.2.3", b"1e"], ids=repr)
+def test_csv_read_error_names_the_row_of_the_file(text):
+    # rows count from 0, as np.loadtxt counts them: the row of i = 8300, in
+    # the third read block
+    row = 2 * fou._CSV_ROWS + 108
+    got, want = _assert_reads_as_loadtxt(_late_row_edit(row, text))
+    assert f"at row {row}, column 3" in str(got)
+    assert str(got) == str(want)
+
+
+def test_csv_read_memory_is_bounded_by_a_block(tmp_path):
+    # the whole 5.9 MB file, or an (n, 3) array of it, would not fit
+    n = 2**17
+    x = np.random.default_rng(6).standard_normal(n + 1)
+    path = tmp_path / "path.csv"
+    write_path_csv(ObservedPath(PARAMS, SamplingScheme(n=n, delta=n**-0.6), x), path)
+    read_path_csv(path)  # warm-up: first-use allocations are not the reader's
+    tracemalloc.start()
+    try:
+        got, _ = read_path_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, x)
+    assert peak < x.nbytes + 2_000_000
+
+
+def test_csv_read_raises_no_warning():
+    x = np.array([0.0, -0.0, 5e-324, 1e-5, 1e300, -1e17, 1.5, 2.0**53 + 1])
+    data = _path_csv(x) + b"8,0.080000000000000002,1234567890123456789012345\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _ = read_path_csv(io.BytesIO(data))
+    assert np.array_equal(got[:-1].view(np.int64), x.view(np.int64))
