@@ -4,7 +4,8 @@ Subpackages
 -----------
 specialfn   gamma, lower incomplete gamma, normal CDF, |k|^(2H) second difference,
             Gauss-Jacobi rules
-fbm         exact fGn and weighted-increment sampling (circulant + Cholesky)
+fbm         exact fGn and weighted-increment sampling by circulant embedding,
+            with a dense Cholesky oracle
 fou         exact fOU paths on the observation grid, the exponential-Euler
             reference, and the exact second-moment quadrature
 lse         least-squares estimator and studentized statistic

@@ -13,13 +13,17 @@ integral (Cheridito, Kawaguchi & Maejima 2003), evaluated by Gauss-Legendre
 quadrature, with series for the endpoint singularities of lags 0 and 1, in
 numpy alone.
 
-The default sampler is circulant embedding (Davies-Harte) of the Toeplitz
+The sampler is circulant embedding (Davies-Harte) of the Toeplitz
 autocovariance, exact in distribution: each draw scales the m+1 distinct
 Fourier coefficients by amplitudes cached per grid and runs one real inverse
 FFT of length 2m.
-A dense Cholesky sampler serves as the slow oracle and as the fallback when
-the embedding is not nonnegative definite (which has not been observed for
-H in (1/2, 1) at the sizes this package uses, but is guarded anyway).
+The embedding of fGn is nonnegative definite: by Dietrich & Newsam (1997)
+for H > 1/2, whose autocovariance is convex and decreasing, and by Craigmile
+(2003) for H <= 1/2, whose correlations are negative; tests find the weighted
+sequences' embeddings strictly positive for theta * step from 1e-8 to 1e4.
+Round-off eigenvalues below zero are clamped, and an embedding with an
+eigenvalue below -NEG_EIG_RTOL * max raises DomainError.  A dense Cholesky
+sampler serves as the slow oracle.
 
 Randomness comes from numpy's counter-based Philox generator keyed by
 (seed, stream): distinct streams are independent, and a fixed
@@ -50,7 +54,7 @@ __all__ = [
     "partial_sums",
 ]
 
-#: relative tolerance on negative embedding eigenvalues before falling back
+#: relative tolerance on negative embedding eigenvalues before an embedding is rejected
 NEG_EIG_RTOL = 1e-9
 
 #: O(m^2) memory guard for the dense Cholesky sampler
@@ -113,6 +117,7 @@ class IncrementSeries:
     grid: FbmGrid
     values: np.ndarray
     method: str = "circulant"
+    #: no sampler sets it; perfbench's traced replays still read `incs.fallback`
     fallback: bool = False
 
 
@@ -210,13 +215,16 @@ def _singular_moment(c: float, p: float, lag: int) -> float:
 @lru_cache(maxsize=16)
 def _embedding_spectrum(step: float, count: int, hurst: float, theta: float = 0.0):
     """Draw amplitudes sqrt(m * eig_k), k = 0..m, of the length-2m circulant
-    embedding (times sqrt(2) at k = 0 and m); None if it is indefinite."""
+    embedding (times sqrt(2) at k = 0 and m); DomainError if it is indefinite."""
     grid = FbmGrid(step, count, hurst, theta)
     m = count
     rho = increment_autocov(grid, np.arange(m + 1))
     eig = np.fft.rfft(np.concatenate([rho, rho[m - 1 : 0 : -1]])).real
     if eig.min() < -NEG_EIG_RTOL * eig.max():
-        return None
+        raise DomainError(
+            f"circulant embedding of {grid} is indefinite: "
+            f"eigenvalue {eig.min():.3g} against {eig.max():.3g}"
+        )
     amp = np.sqrt(m * np.clip(eig, 0.0, None))
     amp[[0, m]] *= np.sqrt(2.0)
     amp.setflags(write=False)
@@ -238,32 +246,22 @@ def _cholesky_factor(step: float, count: int, hurst: float, theta: float):
 
 def sample_circulant(grid: FbmGrid, seed: RngSeed) -> IncrementSeries:
     """Exact draw of the grid increments via circulant embedding and one real
-    inverse FFT: the one-row case of `sample_rows`.
-
-    Falls back to the Cholesky sampler (flagged in the result) if the
-    embedding has an eigenvalue below -NEG_EIG_RTOL * max; smaller negative
-    eigenvalues are clamped to zero.
-    """
-    values, fallback = sample_rows(grid, seed.seed, seed.stream, 1)
-    method = "cholesky" if fallback else "circulant"
-    return IncrementSeries(grid=grid, values=values[0], method=method, fallback=fallback)
+    inverse FFT: the one-row case of `sample_rows`."""
+    return IncrementSeries(grid=grid, values=sample_rows(grid, seed.seed, seed.stream, 1)[0])
 
 
 def sample_rows(grid: FbmGrid, seed: int, first_stream: int, count: int, out=None):
-    """(values, fallback): row r of `values` is the draw of Philox stream
-    (seed, first_stream + r); `fallback` is True when the embedding is
-    indefinite and the rows come from the Cholesky factor instead.
+    """Row r is the draw of Philox stream (seed, first_stream + r); an
+    indefinite embedding raises DomainError.
 
     The rows share one batched `irfft`, which computes each row as a single
     draw would, so every row equals its own `sample_circulant` bit for bit.
     `out`, a pair of a complex (count, m + 1) and a float (count, 2m) array,
     m = grid.count, takes the half-spectrum and the inverse FFT in place of
-    new arrays; `values` is then a view of the second one.
+    new arrays; the rows are then a view of the second one.
     """
     m = grid.count
     amp = _embedding_spectrum(grid.step, m, grid.hurst, grid.theta)
-    if amp is None:
-        return _cholesky_rows(grid, seed, first_stream, count), True
     half, full = (np.empty((count, m + 1), dtype=complex), None) if out is None else out
     # normals fill [re_0, re_m, re_1, im_1, ..., im_{m-1}]; the conjugate makes
     # this the 2m-point FFT of the Hermitian vector; irfft drops im_0 and im_m
@@ -271,7 +269,7 @@ def sample_rows(grid: FbmGrid, seed: int, first_stream: int, count: int, out=Non
     half[:, m] = half[:, 0].imag
     np.conjugate(half, out=half)
     half *= amp
-    return np.fft.irfft(half, n=2 * m, axis=1, out=full)[:, :m], False
+    return np.fft.irfft(half, n=2 * m, axis=1, out=full)[:, :m]
 
 
 def sample_cholesky(grid: FbmGrid, seed: RngSeed) -> IncrementSeries:

@@ -235,8 +235,7 @@ def simulate_path(
     n = scheme.n
     check_steps(n)
     if increments is None:
-        x, fallback = simulate_paths(params, scheme, seed.seed, seed.stream, 1)
-        method = "cholesky" if fallback else "circulant"
+        x = simulate_paths(params, scheme, seed.seed, seed.stream, 1)
     else:
         incs, m = increments, scheme.oversample
         if incs.grid.count != n * m:
@@ -246,8 +245,7 @@ def simulate_path(
         # xi_i = sum_j a_d^(m-1-j) dB_{i*m+j}, a_d = e^(-theta * fine_step)
         w = np.exp(-params.theta * scheme.fine_step) ** np.arange(m - 1, -1, -1)
         x = _recurse(params, scheme, (incs.values.reshape(n, m) @ w)[None])
-        method, fallback = incs.method, incs.fallback
-    meta = {"method": method, "fallback": fallback, "seed": seed.seed, "stream": seed.stream}
+    meta = {"seed": seed.seed, "stream": seed.stream}
     return ObservedPath(params=params, scheme=scheme, x=x[0], meta=meta)
 
 
@@ -259,20 +257,19 @@ def simulate_paths(
     count: int,
     out=None,
 ):
-    """(x, fallback): row r of x is the exact path of Philox stream
-    (seed, first_stream + r), bit for bit the `simulate_path` of that stream;
-    `fallback` says whether the Cholesky sampler drew the increments.
+    """Row r is the exact path of Philox stream (seed, first_stream + r), bit
+    for bit the `simulate_path` of that stream.
 
     All rows share one batched draw (`fbm.sample_rows`) and one recursion.
     `out`, the arrays of `draw_buffers(params, scheme, count)`, takes the
-    draw and the path in place of new arrays; x is then a view of the last
-    one, overwritten by the next draw into them.
+    draw and the path in place of new arrays; the paths are then a view of
+    the last one, overwritten by the next draw into them.
     """
     check_steps(scheme.n)
     grid = FbmGrid(step=scheme.delta, count=scheme.n, hurst=params.hurst, theta=params.theta)
     draw, path = (None, None) if out is None else (out[:2], out[2])
-    xi, fallback = sample_rows(grid, seed, first_stream, count, out=draw)
-    return _recurse(params, scheme, xi, out=path), fallback
+    xi = sample_rows(grid, seed, first_stream, count, out=draw)
+    return _recurse(params, scheme, xi, out=path)
 
 
 def draw_buffers(params: ModelParams, scheme: SamplingScheme, count: int):

@@ -74,18 +74,16 @@ def ratio_terms(x: np.ndarray, delta: float):
     delta.  A degenerate path, one whose denominator is 0, gets a NaN
     denominator, so that numerator / denominator is NaN there.
 
-    A block of paths of at most _SUM_CHUNK + 1 points takes one difference
-    over the block, then two dot products per row: the same sums, bit for
-    bit, as one path on its own, which is the block's one-row case.  Longer
-    paths, a block with a row whose sum of squares overflows, and rows that
-    need rescaling are summed one path at a time.
+    One path is the one-row case of a block, so every row gets the bits of
+    its own path.  A row whose sums leave the float range is summed again on
+    its power-of-two rescaling, by the same `_lse_sums`.
     """
     block = x.reshape(-1, x.shape[-1])
     num, den = np.empty(len(block)), np.empty(len(block))
-    for r, (num_r, sxx) in enumerate(_block_sums(block)):
+    for r, (num_r, sxx) in enumerate(_lse_sums(block)):
         if not (math.isfinite(num_r) and _TINY <= sxx < math.inf):
             row = block[r]
-            num_r, sxx = _lse_sums(np.ldexp(row, -math.frexp(np.abs(row).max())[1]))
+            [(num_r, sxx)] = _lse_sums(np.ldexp(row, -math.frexp(np.abs(row).max())[1])[None])
         den_r = delta * sxx
         num[r], den[r] = num_r, den_r if den_r > 0.0 else math.nan
     if x.ndim == 1:
@@ -93,36 +91,21 @@ def ratio_terms(x: np.ndarray, delta: float):
     return num, den
 
 
-def _block_sums(block):
-    """`_lse_sums` of each row of a block.  Rows of at most _SUM_CHUNK + 1
-    points take one difference over the block and a single vdot per sum, as
-    `_sum_squares` takes it; longer rows go one at a time, and so do all rows
-    once any sum of squares overflows, since the difference could too."""
-    if block.shape[1] > _SUM_CHUNK + 1:
-        return map(_lse_sums, block)
-    prev = block[:, :-1]
-    sxx = [np.vdot(row, row) for row in prev]
-    if max(sxx) == math.inf:
-        return map(_lse_sums, block)
-    steps = block[:, 1:] - prev  # np.diff of every row
-    return [
-        (0.5 * np.vdot(dx, dx) - 0.5 * (b * b - a * a), s)
-        for dx, a, b, s in zip(steps, block[:, 0], block[:, -1], sxx)
-    ]
+def _lse_sums(block):
+    """(-sum x_{i-1}(x_i - x_{i-1}), sum x_{i-1}^2) of each row x of a block,
+    infinite or NaN on overflow.
 
-
-def _lse_sums(x):
-    """(-sum x_{i-1}(x_i - x_{i-1}), sum x_{i-1}^2), infinite or NaN on overflow.
-
-    np.diff is skipped once the second sum overflows, since it could too.
+    One difference over the block, whose overflow shows up in the sums, then
+    `_sum_squares` of each row's differences and of its lagged values.
     """
-    prev = x[:-1]
-    sxx = _sum_squares(prev)
-    if sxx == math.inf:
-        return math.nan, sxx
-    dx = np.diff(x)
-    last, first = float(x[-1]), float(x[0])
-    return 0.5 * _sum_squares(dx) - 0.5 * (last * last - first * first), sxx
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(block, axis=1)
+    return [
+        (0.5 * _sum_squares(dx) - 0.5 * (b * b - a * a), _sum_squares(prev))
+        for dx, prev, a, b in zip(
+            steps, block[:, :-1], block[:, 0].tolist(), block[:, -1].tolist()
+        )
+    ]
 
 
 def _sum_squares(v):
@@ -130,10 +113,13 @@ def _sum_squares(v):
 
     vdot runs the BLAS dot but raises no numpy overflow warning.  Above about
     10^4 elements OpenBLAS splits a dot across its threads, so the sum would
-    depend on OPENBLAS_NUM_THREADS; chunks of _SUM_CHUNK elements stay on one
-    thread, and math.fsum adds their partials exactly rounded.  A vector of
-    at most _SUM_CHUNK elements is one chunk and one vdot.
+    depend on OPENBLAS_NUM_THREADS; a vector of at most _SUM_CHUNK elements
+    takes one vdot, a longer one a vdot per chunk of _SUM_CHUNK elements,
+    which stays on one thread, and math.fsum adds their partials exactly
+    rounded.
     """
+    if v.size <= _SUM_CHUNK:
+        return float(np.vdot(v, v))
     chunks = (v[i : i + _SUM_CHUNK] for i in range(0, v.size, _SUM_CHUNK))
     partials = [np.vdot(c, c) for c in chunks]
     try:

@@ -216,7 +216,7 @@ def run_block(params: ModelParams, scheme: SamplingScheme, seed: int, first_stre
     stream = first_stream
     try:
         out = _block_buffers(params, scheme, count)
-        paths, _ = simulate_paths(params, scheme, seed, first_stream, count, out=out)
+        paths = simulate_paths(params, scheme, seed, first_stream, count, out=out)
         finite = np.isfinite(paths).all(axis=1)
         if not finite.all():
             stream = first_stream + int(np.argmin(finite))

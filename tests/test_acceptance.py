@@ -76,7 +76,7 @@ def _lagwise_autocov_zscores(hurst: float, seed: int, count: int, n_rep: int):
     while r < n_rep:
         b = min(chunk, n_rep - r)
         # rows r .. r+b-1 are the sample_circulant draws of those streams, bit for bit
-        block = sample_rows(grid, seed, r, b)[0]
+        block = sample_rows(grid, seed, r, b)
         f = np.fft.rfft(block, n=2 * count, axis=1)
         ac = np.fft.irfft(f * np.conj(f), n=2 * count, axis=1)[:, :count] / nlag
         s1 += ac.sum(axis=0)
@@ -99,7 +99,7 @@ def test_criterion_2_fbm_exactness():
     # cross-method law check on a handful of marginals
     grid = FbmGrid(step=1.0, count=count, hurst=0.7)
     n_ks = 10000
-    circ = sample_rows(grid, 91, 0, n_ks)[0]
+    circ = sample_rows(grid, 91, 0, n_ks)
     chol = np.empty((n_ks, count))
     for r in range(n_ks):
         chol[r] = sample_cholesky(grid, RngSeed(92, r)).values

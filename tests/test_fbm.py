@@ -228,19 +228,18 @@ def test_weighted_autocov_tends_to_fgn():
 
 @pytest.mark.parametrize("theta", [0.05, 1.0, 5.0, 50.0])
 def test_weighted_embedding_positive_across_sizes(theta):
-    # no clamping and no Cholesky fallback on the grids the simulator uses
+    # no clamping on the grids the simulator uses
     for h in (0.51, 0.6, 0.7, 0.8, 0.9, 0.99):
         for count in (16, 500, 1000, 8000, 2**17):
             amp = _embedding_spectrum(count**-0.6, count, h, theta)
-            assert amp is not None and amp.min() > 0.0, (h, count)
+            assert amp.min() > 0.0, (h, count)
 
 
 def test_weighted_circulant_vs_cholesky_same_law():
     h, d, count, n = 0.7, 0.2, 64, 4000
     grid = FbmGrid(step=d, count=count, hurst=h, theta=1.0)
-    circ, fallback = sample_rows(grid, 13, 0, n)
+    circ = sample_rows(grid, 13, 0, n)
     chol = fbm._cholesky_rows(grid, 14, 0, n)
-    assert not fallback
     bc = np.cumsum(circ, axis=1)
     bh = np.cumsum(chol, axis=1)
     for j in (0, 15, 31, 63):
@@ -255,7 +254,7 @@ def test_weighted_lagwise_autocov_zscores():
     # 3.5 standard errors of c(k) at every lag
     count, n = 64, 20000
     grid = FbmGrid(step=0.25, count=count, hurst=0.65, theta=1.5)
-    draws, _ = sample_rows(grid, 8, 0, n)
+    draws = sample_rows(grid, 8, 0, n)
     lags = np.arange(count)
     per_draw = np.array(
         [np.mean(draws[:, : count - k] * draws[:, k:], axis=1) for k in lags]
@@ -271,8 +270,21 @@ def test_embedding_spectrum_nonnegative_across_sizes():
     for h in (0.55, 0.6, 0.7, 0.74, 0.85):
         for count in (2**8, 2**12, 2**14):
             eig = _embedding_spectrum(0.01, count, h)
-            assert eig is not None
             assert eig.min() >= 0.0
+    # an indefinite embedding raises DomainError, so the sampler rests on
+    # strictly positive amplitudes: fGn below H = 1/2, which FbmGrid admits
+    # at theta = 0, and weighted increments from theta * step = 1e-8 to 1e4,
+    # also at counts past the Cholesky oracle's limit (the smallest ratio to
+    # the largest amplitude is about 5e-4, at H = 0.99, 1e-8 and 20000)
+    for h in (0.01, 0.1, 0.3, 0.49):
+        for count in (1, 2, 3, 5, 4097, 20000):
+            amp = _embedding_spectrum(0.01, count, h)
+            assert amp.min() > 0.0, (h, count)
+    for c in (1e-8, 1e-4, 0.1, 1.0, 10.0, 200.0, 1e4):
+        for h in (0.501, 0.55, 0.7, 0.9, 0.99):
+            for count in (2, 3, 5, 4097, 20000):
+                amp = _embedding_spectrum(0.5, count, h, c / 0.5)
+                assert amp.min() > 0.0, (c, h, count)
 
 
 def _complex_fft_draw(grid, seed):
@@ -362,8 +374,8 @@ def test_stream_normals_rows_match_fresh_generators(first):
 def test_sample_rows_match_single_draws(theta):
     # one batched irfft computes every row as the one-row draw does
     grid = FbmGrid(step=0.05, count=257, hurst=0.7, theta=theta)
-    values, fallback = sample_rows(grid, 2718, 40, 9)
-    assert not fallback and values.shape == (9, 257)
+    values = sample_rows(grid, 2718, 40, 9)
+    assert values.shape == (9, 257)
     for r, row in enumerate(values):
         assert np.array_equal(row, sample_circulant(grid, RngSeed(2718, 40 + r)).values)
 
@@ -404,7 +416,7 @@ def test_single_increment_marginal_variance():
     # sample variance of a chi-square with 1 dof per draw
     h, d, n = 0.7, 0.25, 20000
     grid = FbmGrid(step=d, count=1, hurst=h)
-    vals = sample_rows(grid, 99, 0, n)[0][:, 0]
+    vals = sample_rows(grid, 99, 0, n)[:, 0]
     var = d ** (2 * h)
     se = var * np.sqrt(2.0 / (n - 1))
     assert abs(np.var(vals, ddof=1) - var) <= 3 * se
@@ -416,7 +428,7 @@ def test_empirical_covariance_matches_fbm_kernel():
     h, d, count, n = 0.65, 0.5, 8, 20000
     grid = FbmGrid(step=d, count=count, hurst=h)
     paths = np.zeros((n, count + 1))
-    np.cumsum(sample_rows(grid, 123, 0, n)[0], axis=1, out=paths[:, 1:])
+    np.cumsum(sample_rows(grid, 123, 0, n), axis=1, out=paths[:, 1:])
     t = d * np.arange(count + 1)
     prod = paths[:, :, None] * paths[:, None, :]
     mean = prod.mean(axis=0)
@@ -430,7 +442,7 @@ def test_circulant_vs_cholesky_same_law():
     # two-sample KS on a few marginals of the partial sums
     h, d, count, n = 0.6, 0.2, 64, 4000
     grid = FbmGrid(step=d, count=count, hurst=h)
-    circ, _ = sample_rows(grid, 11, 0, n)
+    circ = sample_rows(grid, 11, 0, n)
     chol = fbm._cholesky_rows(grid, 12, 0, n)
     bc = np.cumsum(circ, axis=1)
     bh = np.cumsum(chol, axis=1)

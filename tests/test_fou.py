@@ -98,9 +98,7 @@ def test_determinism_and_meta():
     assert not np.array_equal(a.x, c.x)
     assert a.x.shape == (65,)
     assert a.x[0] == 0.0
-    assert a.meta["method"] == "circulant"
-    assert a.meta["fallback"] is False
-    assert a.meta == {"method": "circulant", "fallback": False, "seed": 5, "stream": 2}
+    assert a.meta == {"seed": 5, "stream": 2}
 
 
 def test_path_equals_manual_recursion():
@@ -243,7 +241,7 @@ def test_simulated_second_moment_matches_quadrature():
     scheme = SamplingScheme(n=50, delta=0.1, oversample=4)
     t_end = scheme.horizon
     n_rep = 4000
-    sq = simulate_paths(PARAMS, scheme, 31, 0, n_rep)[0][:, -1] ** 2
+    sq = simulate_paths(PARAMS, scheme, 31, 0, n_rep)[:, -1] ** 2
     expect = exact_second_moment(PARAMS, t_end)
     se = sq.std(ddof=1) / math.sqrt(n_rep)
     assert abs(sq.mean() - expect) <= 3.5 * se
@@ -261,7 +259,7 @@ def test_oversampling_converges_to_exact_law():
         fine = FbmGrid(scheme.fine_step, scheme.n * m, PARAMS.hurst)
         sq = np.array([
             _injected_path(PARAMS, scheme, fine, row)[-1] ** 2
-            for row in sample_rows(fine, 57 + m, 0, n_rep)[0]
+            for row in sample_rows(fine, 57 + m, 0, n_rep)
         ])
         bias.append(abs(sq.mean() - expect))
     assert bias[2] < bias[0]
@@ -276,10 +274,10 @@ def test_exact_path_matches_fine_reference_law():
     scheme = SamplingScheme(n=8, delta=0.5, oversample=64)
     fine = FbmGrid(scheme.fine_step, scheme.n * 64, params.hurst)
     n_rep = 4000
-    exact = simulate_paths(params, scheme, 61, 0, n_rep)[0][:, -2:]
+    exact = simulate_paths(params, scheme, 61, 0, n_rep)[:, -2:]
     ref = np.array([
         _injected_path(params, scheme, fine, row)[-2:]
-        for row in sample_rows(fine, 62, 0, n_rep)[0]
+        for row in sample_rows(fine, 62, 0, n_rep)
     ])
     for stat in (lambda v: v[:, 1], lambda v: v[:, 0] * v[:, 1]):
         assert scipy.stats.ks_2samp(stat(exact), stat(ref)).pvalue > 1e-3

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -69,10 +70,14 @@ def test_power_of_two_scaling_is_bit_exact_beyond_float_range():
 
 
 def test_path_near_float_max_estimates_without_warning():
-    # np.diff itself would overflow on these values
-    x = np.array([1.7e308, -1.7e308, 1e308, 5.0])
-    res = lse.estimate_series(x, 0.1)
-    assert res.theta_hat == lse.estimate_series(x * 2.0**-1000, 0.1).theta_hat
+    # np.diff itself would overflow on the first path; on the second only
+    # x_n^2 in the numerator does, while both sums of squares stay finite
+    for x in ([1.7e308, -1.7e308, 1e308, 5.0], [1e100, 2e100, 3e100, 1e200]):
+        x = np.array(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = lse.estimate_series(x, 0.1)
+        assert res.theta_hat == lse.estimate_series(x * 2.0**-600, 0.1).theta_hat
 
 
 def test_sums_overflowing_across_chunks_are_rescaled():
@@ -83,11 +88,41 @@ def test_sums_overflowing_across_chunks_are_rescaled():
     assert math.isfinite(res.numerator) and math.isfinite(res.denominator)
 
 
+#: (numerator, denominator) hex of each row below, frozen from when a block
+#: and a single path were summed by separate routines
+_BLOCK_BITS = {
+    40: [
+        ("0x1.ebe235fa51302p-4", "0x1.6b75b3e2f775cp-5"),
+        ("0x0.0p+0", "nan"),
+        ("0x1.1402b48ea7039p-3", "0x1.1d954265a0cd6p-3"),
+        ("-0x1.637d08987646cp-7", "0x1.29a2017d9f688p-3"),
+        ("0x1.14af3e5ccdab0p+0", "0x1.98e46a5f56648p-2"),
+        ("0x1.1976330cf2540p+5", "0x1.ada9df513b05fp-2"),
+    ],
+    8193: [
+        ("0x1.8d9f193980898p+4", "0x1.edf6e32036453p+13"),
+        ("0x0.0p+0", "nan"),
+        ("-0x1.17525f088617cp-6", "0x1.52032993cb4eap+4"),
+        ("-0x1.3a45ff928be3cp-4", "0x1.bb157284d577bp+4"),
+        ("0x1.bf52fc60b09a7p+7", "0x1.15dadfc21e86fp+17"),
+        ("0x1.c256b814b6ee2p+12", "0x1.57bb190dc8d25p+6"),
+    ],
+    8194: [
+        ("-0x1.2df48fcbeb6e0p+4", "0x1.42f10779b002ep+14"),
+        ("0x0.0p+0", "nan"),
+        ("0x1.61b6c49956bc4p-4", "0x1.017554eba7813p+3"),
+        ("-0x1.bfb9056914850p-9", "0x1.0048a66d7d251p+4"),
+        ("-0x1.53b321c568dbep+7", "0x1.6b4f2868e6033p+17"),
+        ("0x1.c27355e8760d2p+12", "0x1.57cd69954d611p+6"),
+    ],
+}
+
+
 @pytest.mark.parametrize("n", [40, lse._SUM_CHUNK + 1, lse._SUM_CHUNK + 2])
 def test_block_sums_equal_one_path_sums(n):
-    # a block takes one difference and two dots per row; every row must get
-    # the bits of the one-path call, also a degenerate row (NaN denominator),
-    # rows beyond the float range, and rows that np.diff would overflow
+    # every row of a block must get the bits of the one-path call, and both
+    # the frozen bits: also a degenerate row (NaN denominator), rows beyond
+    # the float range, and a row that np.diff overflows
     rng = np.random.default_rng(n)
     base = np.cumsum(rng.standard_normal((3, n)), axis=1) * 0.1 + 0.3
     rows = [base[0], np.zeros(n), base[1] * 2.0**600, base[2] * 2.0**-600, base[0] * -3.0]
@@ -97,6 +132,7 @@ def test_block_sums_equal_one_path_sums(n):
         for r, x in enumerate(block):
             one = lse.ratio_terms(x, 0.02)
             assert [float(num[r]).hex(), float(den[r]).hex()] == [v.hex() for v in one], r
+            assert tuple(v.hex() for v in one) == _BLOCK_BITS[n][r], r
     assert np.isnan(den).tolist() == [False, True] + [False] * (len(block) - 2)
     assert np.isfinite(num).all()
 

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracou import fbm, fou, lse, montecarlo
+from fracou import cli, fbm, fou, lse, montecarlo
 from fracou.errors import DomainError, ReplicationError
-from fracou.fbm import FbmGrid, RngSeed, sample_cholesky
+from fracou.fbm import FbmGrid, RngSeed
 from fracou.fou import ModelParams, SamplingScheme, simulate_path
 from fracou.montecarlo import McConfig, ks_to_std_normal
 
@@ -283,21 +283,35 @@ def test_replications_do_not_page_the_heap_in():
     assert faults <= 2 * 50, f"{faults} minor faults in 50 replications"
 
 
-def test_block_fallback_rows_match_sample_cholesky(monkeypatch):
-    # an indefinite embedding sends every row of the block to the Cholesky
-    # factor, with the bits of sample_cholesky on each row's stream
-    monkeypatch.setattr(fbm, "_embedding_spectrum", lambda *args: None)
+def test_indefinite_embedding_raises_at_every_entry(monkeypatch, tmp_path, capsys):
+    # c(0) = 1, c(1) = 2 and 0 beyond: the embedding has eigenvalue 1 - 4 < 0,
+    # and there is no other sampler to fall back on
+    def indefinite(grid, lag):
+        k = np.asarray(lag)
+        return (k == 0) + 2.0 * (k == 1)
+
     params = ModelParams(theta=1.0, hurst=0.6, x0=1.5)
     scheme = SamplingScheme(n=16, delta=0.25)
     grid = FbmGrid(step=0.25, count=16, hurst=0.6, theta=1.0)
-    paths, fallback = fou.simulate_paths(params, scheme, 5, 40, 7)
-    theta_hats = montecarlo.run_block(params, scheme, 5, 40, 7)
-    assert fallback
-    for r in range(7):
-        xi = sample_cholesky(grid, RngSeed(5, 40 + r)).values
-        x = fou._recurse(params, scheme, xi[None])[0]
-        assert np.array_equal(paths[r], x)
-        assert theta_hats[r] == lse.estimate_series(x, 0.25).theta_hat
+    out = tmp_path / "path.csv"
+    fbm._embedding_spectrum.cache_clear()
+    monkeypatch.setattr(fbm, "increment_autocov", indefinite)
+    try:
+        with pytest.raises(DomainError, match="indefinite"):
+            fbm.sample_rows(grid, 5, 40, 7)
+        with pytest.raises(DomainError, match="indefinite"):
+            fou.simulate_paths(params, scheme, 5, 40, 7)
+        with pytest.raises(DomainError, match="indefinite"):
+            simulate_path(params, scheme, RngSeed(5, 40))
+        argv = ["simulate", "--theta", "1.0", "--hurst", "0.6", "--n", "16",
+                "--delta", "0.25", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "indefinite" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ReplicationError, match=r"stream=40\).*indefinite"):
+            montecarlo.run_block(params, scheme, 5, 40, 7)
+    finally:
+        fbm._embedding_spectrum.cache_clear()
 
 
 def test_canonical_report_bytes_equal_at_one_two_three_workers():
